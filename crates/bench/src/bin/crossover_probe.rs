@@ -13,7 +13,7 @@
 //! run.
 
 use rand::SeedableRng;
-use specstab_kernel::batch::{run_batch_with, run_batch_with_dense_sweep, BatchDaemon};
+use specstab_kernel::batch::{run_batch, run_batch_with_dense_sweep, BatchDaemon};
 use specstab_kernel::daemon::{CentralDaemon, CentralStrategy, Daemon};
 use specstab_kernel::engine::{RunLimits, Simulator, StepScratch};
 use specstab_kernel::protocol::random_configuration;
@@ -78,11 +78,13 @@ fn probe(mode: BatchDaemon, label: &str) {
             }
         });
         let batched = time_per_lane_step(5, || {
-            std::hint::black_box(run_batch_with(&g, &proto, mode, seeds_arg, &inits, STEPS).len());
+            let inits = inits.clone();
+            std::hint::black_box(run_batch(&g, &proto, mode, seeds_arg, inits, STEPS, None).len());
         });
         let dense = time_per_lane_step(5, || {
+            let inits = inits.clone();
             std::hint::black_box(
-                run_batch_with_dense_sweep(&g, &proto, mode, seeds_arg, &inits, STEPS).len(),
+                run_batch_with_dense_sweep(&g, &proto, mode, seeds_arg, inits, STEPS, None).len(),
             );
         });
         let verdict = if batched < scalar { "batched wins" } else { "scalar wins" };

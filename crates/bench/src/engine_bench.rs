@@ -11,7 +11,7 @@
 
 use criterion::{BenchmarkId, Criterion, Throughput};
 use rand::SeedableRng;
-use specstab_kernel::batch::{run_batch, run_batch_with, BatchDaemon};
+use specstab_kernel::batch::{run_batch, BatchDaemon};
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::{
     CentralDaemon, CentralStrategy, RandomDistributedDaemon, SynchronousDaemon,
@@ -98,7 +98,9 @@ fn bench_batched_unison_on(group: &mut criterion::BenchmarkGroup<'_>, g: &Graph,
             BenchmarkId::new("batched_sync_unison_moves", format!("{label}-k{k}")),
             g,
             |b, g| {
-                b.iter(|| run_batch(g, &unison, &inits, steps).len());
+                b.iter(|| {
+                    run_batch(g, &unison, BatchDaemon::Sync, &[], inits.clone(), steps, None).len()
+                });
             },
         );
     }
@@ -122,7 +124,9 @@ fn bench_batched_rr_unison_on(group: &mut criterion::BenchmarkGroup<'_>, g: &Gra
         BenchmarkId::new("batched_rr_unison_steps", format!("{label}-k{k}")),
         g,
         |b, g| {
-            b.iter(|| run_batch_with(g, &unison, BatchDaemon::CentralRr, &[], &inits, steps).len());
+            b.iter(|| {
+                run_batch(g, &unison, BatchDaemon::CentralRr, &[], inits.clone(), steps, None).len()
+            });
         },
     );
 }
@@ -147,7 +151,8 @@ fn bench_batched_rand_unison_on(group: &mut criterion::BenchmarkGroup<'_>, g: &G
         g,
         |b, g| {
             b.iter(|| {
-                run_batch_with(g, &unison, BatchDaemon::CentralRand, &seeds, &inits, steps).len()
+                let inits = inits.clone();
+                run_batch(g, &unison, BatchDaemon::CentralRand, &seeds, inits, steps, None).len()
             });
         },
     );
@@ -199,16 +204,16 @@ fn bench_dist_unison_on(group: &mut criterion::BenchmarkGroup<'_>, g: &Graph, la
     let inits: Vec<_> = (0..k).map(|_| init.clone()).collect();
     let seeds: Vec<u64> = (0..k as u64).map(|l| 0xBEEF + l).collect();
     let daemon = BatchDaemon::RandomDistributed { p: P };
-    let total: u64 = run_batch_with(g, &unison, daemon, &seeds, &inits, steps)
+    let total: u64 = run_batch(g, &unison, daemon, &seeds, inits.clone(), steps, None)
         .iter()
-        .map(|lane| lane.moves)
+        .map(|(report, _)| report.moves)
         .sum();
     group.throughput(Throughput::Elements(total));
     group.bench_with_input(
         BenchmarkId::new("batched_dist_unison_moves", format!("{label}-k{k}")),
         g,
         |b, g| {
-            b.iter(|| run_batch_with(g, &unison, daemon, &seeds, &inits, steps).len());
+            b.iter(|| run_batch(g, &unison, daemon, &seeds, inits.clone(), steps, None).len());
         },
     );
 }
@@ -233,7 +238,9 @@ fn bench_batched_rr_dijkstra3_on(group: &mut criterion::BenchmarkGroup<'_>, n: u
         BenchmarkId::new("batched_rr_dijkstra3_steps", format!("ring-{n}-k{k}")),
         &g,
         |b, g| {
-            b.iter(|| run_batch_with(g, &proto, BatchDaemon::CentralRr, &[], &inits, steps).len());
+            b.iter(|| {
+                run_batch(g, &proto, BatchDaemon::CentralRr, &[], inits.clone(), steps, None).len()
+            });
         },
     );
 }
@@ -286,7 +293,9 @@ fn bench_dijkstra3_on(group: &mut criterion::BenchmarkGroup<'_>, n: usize) {
             BenchmarkId::new("batched_sync_dijkstra3_moves", format!("{label}-k{k}")),
             &g,
             |b, g| {
-                b.iter(|| run_batch(g, &proto, &inits, steps).len());
+                b.iter(|| {
+                    run_batch(g, &proto, BatchDaemon::Sync, &[], inits.clone(), steps, None).len()
+                });
             },
         );
     }

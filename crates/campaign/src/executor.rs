@@ -23,10 +23,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use specstab_kernel::batch::BatchDaemon;
 use specstab_kernel::config::Configuration;
-use specstab_kernel::daemon::DaemonClass;
+use specstab_kernel::daemon::{BoxedDaemon, DaemonClass};
 use specstab_kernel::engine::{Simulator, StepScratch};
 use specstab_kernel::fault::inject_faults_in_place;
-use specstab_kernel::harness::{HarnessState, ProtocolHarness};
+use specstab_kernel::harness::{HarnessError, HarnessState, ProtocolHarness};
 use specstab_kernel::measure::MeasurementContext;
 use specstab_kernel::protocol::{random_configuration, Protocol};
 use specstab_protocols::registry::{self, HarnessVisitor, ProtocolInfo};
@@ -637,16 +637,17 @@ fn run_harness_group<H: ProtocolHarness>(
         .collect()
 }
 
-/// Runs one group chunk (synchronous or central round-robin) through the
-/// lane-packed batched engine: every cell's initial configuration becomes
-/// one replica lane of a single structure-of-arrays run (see
+/// Runs one group chunk under a batchable daemon through the lane-packed
+/// batched engine: every cell's initial configuration becomes one replica
+/// lane of a single structure-of-arrays run (see
 /// `specstab_kernel::batch`).
 ///
-/// Per-lane seeding, initial-configuration construction and measurement
-/// semantics replicate [`run_harness_cell`] exactly, so the per-cell
-/// outcomes are bit-identical to the scalar path. Returns `None` when any
-/// cell's setup fails (bad daemon spec, witness error, ...) — the scalar
-/// loop then reruns the chunk and attributes the error to the right cell.
+/// Lanes are set up by the scalar path's [`set_up_cell`] and measured
+/// with the same predicates and early stop as [`run_harness_cell`], so
+/// the per-cell outcomes are bit-identical to the scalar path. Returns
+/// `None` when any cell's setup fails (bad daemon spec, witness error,
+/// ...) — the scalar loop then reruns the chunk and attributes the error
+/// to the right cell.
 ///
 /// `wall_nanos` is the batch total split evenly across the lanes: lanes
 /// run fused, so no truer per-cell attribution exists (telemetry only,
@@ -666,24 +667,11 @@ fn run_batched_group<H: ProtocolHarness>(
     let mut inits = Vec::with_capacity(cells.len());
     for cell in cells {
         let cell_seed = cell.cell_seed(config.seed);
-        // The lane's RNG seed is exactly the scalar path's daemon seed:
-        // a random-daemon lane replays the scalar cell's pick sequence
-        // draw for draw.
-        let daemon_seed = mix(cell_seed, 0x000D_AE17);
-        let daemon = harness.daemon(&cell.daemon, daemon_seed).ok()?;
-        let mut rng = StdRng::seed_from_u64(mix(cell_seed, 0x1217));
-        let init = match cell.init {
-            InitMode::Burst(0) => random_configuration(graph, harness.protocol(), &mut rng),
-            InitMode::Burst(faults) => {
-                let healthy = harness.legitimate_configuration(graph, &mut rng).ok()?;
-                burst_configuration(graph, harness.protocol(), healthy, faults, &mut rng)
-            }
-            InitMode::Witness => harness.witness_configuration(graph).ok()?,
-        };
+        let setup = set_up_cell(harness, cell, graph, cell_seed).ok()?;
         seeds.push(cell_seed);
-        classes.push(daemon.class());
-        lane_seeds.push(daemon_seed);
-        inits.push(init);
+        classes.push(setup.daemon.class());
+        lane_seeds.push(setup.daemon_seed);
+        inits.push(setup.init);
     }
     let lane_seeds: &[u64] = if mode.needs_lane_seeds() { &lane_seeds } else { &[] };
     let reports = harness.batched_measure(
@@ -727,11 +715,9 @@ fn run_batched_group<H: ProtocolHarness>(
     )
 }
 
-/// Runs one cell on an already-built harness: resolve the daemon,
-/// construct the initial configuration (burst into the harness's
-/// legitimate configuration, or the adversarial witness where supported),
-/// execute one measured run on pooled scratch buffers, and check the
-/// harness's synchronous theorem bound.
+/// Runs one cell on an already-built harness: set the cell up
+/// ([`set_up_cell`]), execute one measured run on pooled scratch buffers,
+/// and check the harness's synchronous theorem bound.
 fn run_harness_cell<H: ProtocolHarness>(
     harness: &H,
     cell: &Cell,
@@ -741,28 +727,11 @@ fn run_harness_cell<H: ProtocolHarness>(
     config: &CampaignConfig,
     scratch: &mut ScratchPool,
 ) -> (Option<DaemonClass>, RunCounters, Result<CellOutcome, String>) {
-    let mut daemon = match harness.daemon(&cell.daemon, mix(cell_seed, 0x000D_AE17)) {
-        Ok(d) => d,
-        Err(e) => return (None, RunCounters::default(), Err(e)),
+    let CellSetup { mut daemon, init, .. } = match set_up_cell(harness, cell, graph, cell_seed) {
+        Ok(setup) => setup,
+        Err((class, e)) => return (class, RunCounters::default(), Err(e)),
     };
     let class = Some(daemon.class());
-    let mut rng = StdRng::seed_from_u64(mix(cell_seed, 0x1217));
-    let init = match cell.init {
-        // Full burst: the initial configuration is uniformly arbitrary —
-        // don't construct the legitimate resting point only to discard it.
-        InitMode::Burst(0) => random_configuration(graph, harness.protocol(), &mut rng),
-        InitMode::Burst(faults) => {
-            let healthy = match harness.legitimate_configuration(graph, &mut rng) {
-                Ok(c) => c,
-                Err(e) => return (class, RunCounters::default(), Err(e.to_string())),
-            };
-            burst_configuration(graph, harness.protocol(), healthy, faults, &mut rng)
-        }
-        InitMode::Witness => match harness.witness_configuration(graph) {
-            Ok(c) => c,
-            Err(e) => return (class, RunCounters::default(), Err(e.to_string())),
-        },
-    };
     let sim = Simulator::new(graph, harness.protocol());
     let report =
         MeasurementContext::new(harness.safety_predicate(), harness.legitimacy_predicate())
@@ -788,6 +757,44 @@ fn run_harness_cell<H: ProtocolHarness>(
             violated_bound: bound.is_some_and(|b| b.violated_by(&report)),
         }),
     )
+}
+
+/// One cell's seeded set-up: its daemon, the seed the daemon was built
+/// from, and its initial configuration.
+struct CellSetup<S> {
+    daemon: BoxedDaemon<S>,
+    daemon_seed: u64,
+    init: Configuration<S>,
+}
+
+/// Builds a cell's daemon and initial configuration (a burst into the
+/// harness's legitimate configuration, or the adversarial witness where
+/// supported) from its cell seed. Both executor paths set cells up here,
+/// so batched lane `l` replays scalar cell `l`'s seeds exactly: its RNG
+/// stream is the scalar daemon's seed, and its initial configuration the
+/// scalar cell's. A failure carries the daemon class when the daemon was
+/// resolved before it.
+fn set_up_cell<H: ProtocolHarness>(
+    harness: &H,
+    cell: &Cell,
+    graph: &Graph,
+    cell_seed: u64,
+) -> Result<CellSetup<HarnessState<H>>, (Option<DaemonClass>, String)> {
+    let daemon_seed = mix(cell_seed, 0x000D_AE17);
+    let daemon = harness.daemon(&cell.daemon, daemon_seed).map_err(|e| (None, e))?;
+    let failed = |e: HarnessError| (Some(daemon.class()), e.to_string());
+    let mut rng = StdRng::seed_from_u64(mix(cell_seed, 0x1217));
+    let init = match cell.init {
+        // Full burst: the initial configuration is uniformly arbitrary —
+        // don't construct the legitimate resting point only to discard it.
+        InitMode::Burst(0) => random_configuration(graph, harness.protocol(), &mut rng),
+        InitMode::Burst(faults) => {
+            let healthy = harness.legitimate_configuration(graph, &mut rng).map_err(failed)?;
+            burst_configuration(graph, harness.protocol(), healthy, faults, &mut rng)
+        }
+        InitMode::Witness => harness.witness_configuration(graph).map_err(failed)?,
+    };
+    Ok(CellSetup { daemon, daemon_seed, init })
 }
 
 /// Builds the initial configuration for a burst-mode scenario: a full

@@ -84,23 +84,25 @@
 //!
 //! # Equivalence contract
 //!
-//! [`run_batch_with`] reproduces, per lane, exactly what
-//! [`Simulator::run`](crate::engine::Simulator::run) produces under the
-//! matching scalar daemon: the same step/move counts, the same
+//! [`run_batch`] is the one entry point. Per lane it reproduces exactly
+//! what [`Simulator::run`](crate::engine::Simulator::run) produces under
+//! the matching scalar daemon: the same step/move counts, the same
 //! [`StopReason`] (checked in the scalar engine's order — terminal, step
 //! limit, observer request), the same final configuration — for the
-//! random daemons, the same RNG draws from the same seed.
-//! [`run_batch_measured`] additionally replicates the
-//! [`MeasurementContext`](crate::measure::MeasurementContext) monitor
-//! stack (safety monitor, legitimacy monitor, optional
-//! `StopAfterStable`) per lane, index for index. The differential
-//! proptest suites assert both claims against the scalar engine, and
-//! [`run_batch_with_dense_sweep`] pins the incremental bitset against a
-//! forced full re-evaluation every pass.
+//! random daemons, the same RNG draws from the same seed. Given a
+//! [`LaneMeasure`], each lane also feeds its own copy of the tally the
+//! scalar [`MeasurementContext`](crate::measure::MeasurementContext)
+//! drives, with the same verdicts at the same indices, so its
+//! [`StabilizationReport`] is the scalar one field for field. Lane early
+//! stop is a margin on the lane's legitimacy verdict, which matches a
+//! scalar context whose early-stop predicate is its legitimacy predicate.
+//! The differential proptest suites assert both claims against the scalar
+//! engine, and [`run_batch_with_dense_sweep`] pins the incremental bitset
+//! against a forced full re-evaluation every pass.
 
 use crate::config::Configuration;
 use crate::engine::StopReason;
-use crate::measure::StabilizationReport;
+use crate::measure::{StabilizationReport, VerdictTally};
 use crate::observer::ConfigPredicate;
 use crate::protocol::Protocol;
 use rand::rngs::StdRng;
@@ -726,17 +728,36 @@ impl DivergentState {
     }
 }
 
-/// Per-lane outcome of a plain (monitor-free) batched run.
-#[derive(Clone, Debug)]
-pub struct LaneSummary<S> {
-    /// The lane's final configuration (frozen at its stop step).
-    pub final_config: Configuration<S>,
-    /// Steps the lane executed before stopping.
-    pub steps: usize,
-    /// Moves (vertex activations) the lane executed.
-    pub moves: u64,
-    /// Why the lane stopped.
-    pub stop: StopReason,
+/// Per-lane measurement for [`run_batch`]: the predicates each lane's
+/// verdicts come from, and the optional early stop.
+pub struct LaneMeasure<S> {
+    /// The specification's safety predicate.
+    pub safety: ConfigPredicate<S>,
+    /// The specification's legitimacy predicate (expected closed).
+    pub legitimacy: ConfigPredicate<S>,
+    /// `Some(margin)` stops a lane once its legitimacy verdict has held
+    /// for `margin + 1` consecutive configurations — the scalar
+    /// `MeasurementContext::with_early_stop(legitimacy, margin)`.
+    pub early_stop: Option<usize>,
+}
+
+impl<S> LaneMeasure<S> {
+    /// Records configuration `index`'s verdicts. Legitimacy doubles as
+    /// the stop verdict, so it is evaluated once per lane-step.
+    fn observe(
+        &self,
+        tally: &mut VerdictTally,
+        index: usize,
+        config: &Configuration<S>,
+        graph: &Graph,
+    ) {
+        let legitimate = (self.legitimacy)(config, graph);
+        tally.record(index, (self.safety)(config, graph), legitimate, legitimate);
+    }
+
+    fn should_stop(&self, tally: &VerdictTally) -> bool {
+        self.early_stop.is_some_and(|margin| tally.should_stop(margin))
+    }
 }
 
 /// Packs `inits` into replica-major SoA state.
@@ -756,7 +777,7 @@ fn pack_soa<P: PackedProtocol>(
 }
 
 /// Per-lane enabled/activated counts for this iteration.
-fn count_fired(_n: usize, lanes: usize, fired: &[bool], out: &mut [u32]) {
+fn count_fired(lanes: usize, fired: &[bool], out: &mut [u32]) {
     out.fill(0);
     for row in fired.chunks_exact(lanes) {
         for (cnt, &f) in out.iter_mut().zip(row) {
@@ -768,7 +789,6 @@ fn count_fired(_n: usize, lanes: usize, fired: &[bool], out: &mut [u32]) {
 /// Commits fired successor states for unmasked lanes (`commit[l]`),
 /// leaving masked lanes' state frozen.
 fn commit_fired<L: LaneWord>(
-    _n: usize,
     lanes: usize,
     commit: &[bool],
     fired: &[bool],
@@ -791,7 +811,7 @@ fn commit_fired<L: LaneWord>(
     }
 }
 
-/// Shared per-lane bookkeeping for both batch runners.
+/// Per-lane bookkeeping of the pass loop.
 struct LaneState {
     steps: Vec<usize>,
     moves: Vec<u64>,
@@ -799,7 +819,8 @@ struct LaneState {
     commit: Vec<bool>,
     fired_count: Vec<u32>,
     counters: Vec<RunCounters>,
-    active: usize,
+    /// Per-lane verdict tallies (never fed on unmeasured runs).
+    tallies: Vec<VerdictTally>,
     /// Scheduled lane-step slots: `lanes` per pass that committed at
     /// least one lane (the final all-stop drain pass charges nothing).
     lane_step_slots: u64,
@@ -817,23 +838,55 @@ impl LaneState {
             commit: vec![false; lanes],
             fired_count: vec![0; lanes],
             counters: vec![RunCounters::new(); lanes],
-            active: lanes,
+            tallies: vec![VerdictTally::new(); lanes],
             lane_step_slots: 0,
             idle_lane_steps: 0,
         }
     }
 
-    /// Charges this pass's step-slot accounting: one slot per lane when
-    /// any lane committed, idle for the lanes that did not. Counting per
+    /// The stop checks in the scalar engine's loop-top order — terminal,
+    /// step limit, observer request — against this pass's per-lane
+    /// enabled counts. Marks the lanes that commit a step this pass and
+    /// returns how many there are.
+    fn stop_checks<S>(
+        &mut self,
+        n: usize,
+        max_steps: usize,
+        measure: Option<&LaneMeasure<S>>,
+    ) -> usize {
+        let mut committed = 0usize;
+        for l in 0..self.commit.len() {
+            self.commit[l] = false;
+            if self.stop[l].is_some() {
+                continue;
+            }
+            self.counters[l].guard_evals += n as u64;
+            self.stop[l] = if self.fired_count[l] == 0 {
+                Some(StopReason::Terminal)
+            } else if self.steps[l] >= max_steps {
+                Some(StopReason::MaxSteps)
+            } else if measure.is_some_and(|m| m.should_stop(&self.tallies[l])) {
+                Some(StopReason::ObserverRequest)
+            } else {
+                None
+            };
+            if self.stop[l].is_none() {
+                self.commit[l] = true;
+                committed += 1;
+            }
+        }
+        committed
+    }
+
+    /// Charges a committing pass's step-slot accounting: one slot per
+    /// lane, idle for the lanes that did not commit. Counting per
     /// logical step (instead of per evaluation pass) keeps occupancy
     /// comparable across lane widths — a u8-packed batch runs 64 replicas
     /// per cache line where an i32-packed one runs 16 — and makes
     /// `lane_step_slots − idle_lane_steps` exactly the steps executed.
     fn charge_pass(&mut self, lanes: usize, committed: usize) {
-        if committed > 0 {
-            self.lane_step_slots += lanes as u64;
-            self.idle_lane_steps += (lanes - committed) as u64;
-        }
+        self.lane_step_slots += lanes as u64;
+        self.idle_lane_steps += (lanes - committed) as u64;
     }
 
     /// Flushes per-lane counters and the batch occupancy tallies to the
@@ -850,34 +903,22 @@ impl LaneState {
     }
 }
 
-/// [`run_batch_with`] under the synchronous daemon (the original batched
-/// entry point, kept as the common case's short name).
+/// Runs `inits.len()` replicas of `protocol` under `daemon`, batched, and
+/// returns per lane its [`StabilizationReport`] and final configuration.
 ///
-/// # Panics
-///
-/// Panics when `inits` is empty or a configuration's size does not match
-/// the graph.
-#[must_use]
-pub fn run_batch<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    inits: &[Configuration<P::State>],
-    max_steps: usize,
-) -> Vec<LaneSummary<P::State>> {
-    run_batch_with(graph, protocol, BatchDaemon::Sync, &[], inits, max_steps)
-}
-
-/// Runs `inits.len()` replicas of `protocol` to termination (or
-/// `max_steps`) under `daemon`, batched.
-///
-/// Per lane, the result is exactly what a scalar
-/// [`Simulator::run`](crate::engine::Simulator::run) with the matching
-/// daemon ([`SynchronousDaemon`](crate::daemon::SynchronousDaemon), a
-/// freshly `reset()` [`CentralDaemon`](crate::daemon::CentralDaemon)
+/// Per lane, the result is exactly what the scalar engine produces under
+/// the matching daemon ([`SynchronousDaemon`](crate::daemon::SynchronousDaemon),
+/// a freshly `reset()` [`CentralDaemon`](crate::daemon::CentralDaemon)
 /// round-robin or random, or a
 /// [`RandomDistributedDaemon`](crate::daemon::RandomDistributedDaemon))
-/// and no observers produces from the same initial configuration. For
-/// the random daemons, `lane_seeds[l]` must be the seed the scalar
+/// from the same initial configuration. With `measure`, that is the
+/// report of a [`MeasurementContext`](crate::measure::MeasurementContext)
+/// over the same predicates, its early stop (when set) on the legitimacy
+/// predicate. Without, the run goes to termination or `max_steps`, no
+/// predicate is evaluated, and the report carries only the step and move
+/// counts, the stop reason and the counters.
+///
+/// For the random daemons, `lane_seeds[l]` must be the seed the scalar
 /// daemon for replica `l` was constructed with; the deterministic
 /// daemons ignore `lane_seeds` (pass `&[]`).
 ///
@@ -887,21 +928,19 @@ pub fn run_batch<P: PackedProtocol>(
 /// the graph, or a random daemon's `lane_seeds` length does not match
 /// `inits.len()`.
 #[must_use]
-pub fn run_batch_with<P: PackedProtocol>(
+pub fn run_batch<P: PackedProtocol>(
     graph: &Graph,
     protocol: &P,
     daemon: BatchDaemon,
     lane_seeds: &[u64],
-    inits: &[Configuration<P::State>],
+    inits: Vec<Configuration<P::State>>,
     max_steps: usize,
-) -> Vec<LaneSummary<P::State>> {
-    match daemon {
-        BatchDaemon::Sync => run_batch_sync(graph, protocol, inits, max_steps),
-        _ => run_batch_divergent(graph, protocol, daemon, lane_seeds, inits, max_steps, false),
-    }
+    measure: Option<LaneMeasure<P::State>>,
+) -> Vec<(StabilizationReport, Configuration<P::State>)> {
+    run_lanes(graph, protocol, daemon, lane_seeds, inits, max_steps, measure.as_ref(), false)
 }
 
-/// [`run_batch_with`] with the incremental enabled-bitset disabled: the
+/// [`run_batch`] with the incremental enabled-bitset disabled: the
 /// divergent engine re-evaluates every guard with a whole-graph
 /// `step_lanes` sweep every pass. Selection, RNG streams and commits are
 /// shared with the incremental path, so comparing the two isolates
@@ -910,7 +949,7 @@ pub fn run_batch_with<P: PackedProtocol>(
 ///
 /// # Panics
 ///
-/// As [`run_batch_with`]; additionally panics under [`BatchDaemon::Sync`]
+/// As [`run_batch`]; additionally panics under [`BatchDaemon::Sync`]
 /// (which has no divergent path to compare).
 #[doc(hidden)]
 #[must_use]
@@ -919,527 +958,129 @@ pub fn run_batch_with_dense_sweep<P: PackedProtocol>(
     protocol: &P,
     daemon: BatchDaemon,
     lane_seeds: &[u64],
-    inits: &[Configuration<P::State>],
+    inits: Vec<Configuration<P::State>>,
     max_steps: usize,
-) -> Vec<LaneSummary<P::State>> {
+    measure: Option<LaneMeasure<P::State>>,
+) -> Vec<(StabilizationReport, Configuration<P::State>)> {
     assert!(daemon != BatchDaemon::Sync, "the dense-sweep reference is for divergent daemons");
-    run_batch_divergent(graph, protocol, daemon, lane_seeds, inits, max_steps, true)
+    run_lanes(graph, protocol, daemon, lane_seeds, inits, max_steps, measure.as_ref(), true)
 }
 
-fn check_batch_args<S>(graph: &Graph, inits: &[Configuration<S>]) -> (usize, usize) {
-    let n = graph.n();
-    let lanes = inits.len();
-    assert!(lanes > 0, "a batch needs at least one replica lane");
-    for init in inits {
-        assert_eq!(init.len(), n, "configuration size must match graph");
-    }
-    (n, lanes)
-}
-
-/// The synchronous dense path: whole-graph `step_lanes` every pass, the
-/// whole fired set committed per lane with branch-free blends.
-fn run_batch_sync<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    inits: &[Configuration<P::State>],
-    max_steps: usize,
-) -> Vec<LaneSummary<P::State>> {
-    let (n, lanes) = check_batch_args(graph, inits);
-    let mut soa = pack_soa(protocol, n, inits);
-    let mut next = soa.clone();
-    let mut fired = vec![false; n * lanes];
-    let mut scratch = P::LaneScratch::default();
-    let mut ls = LaneState::new(lanes);
-
-    while ls.active > 0 {
-        protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
-        count_fired(n, lanes, &fired, &mut ls.fired_count);
-        let mut committed = 0usize;
-        for l in 0..lanes {
-            ls.commit[l] = false;
-            if ls.stop[l].is_some() {
-                continue;
-            }
-            ls.counters[l].guard_evals += n as u64;
-            // The scalar engine's loop-top order: terminal first, then the
-            // step limit (no observers on the plain path).
-            if ls.fired_count[l] == 0 {
-                ls.stop[l] = Some(StopReason::Terminal);
-                ls.active -= 1;
-            } else if ls.steps[l] >= max_steps {
-                ls.stop[l] = Some(StopReason::MaxSteps);
-                ls.active -= 1;
-            } else {
-                ls.commit[l] = true;
-                committed += 1;
-            }
-        }
-        ls.charge_pass(lanes, committed);
-        commit_fired(n, lanes, &ls.commit, &fired, &next, &mut soa);
-        for l in 0..lanes {
-            if ls.commit[l] {
-                // A committed pass is one step; it moves the whole fired
-                // set under the synchronous daemon.
-                let moved = u64::from(ls.fired_count[l]);
-                ls.steps[l] += 1;
-                ls.moves[l] += moved;
-                ls.counters[l].delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
-            }
-        }
-    }
-
-    ls.flush_telemetry(lanes);
-    collect_summaries(protocol, n, lanes, &soa, &ls)
-}
-
-/// The divergent path (rr / rand / dist): initial whole-graph evaluation
-/// builds the transposed bitset, then every pass selects from it with
-/// word scans, commits per lane, and re-evaluates only the commit's
-/// touched neighborhood.
-fn run_batch_divergent<P: PackedProtocol>(
+/// The one pass loop behind [`run_batch`]. Sync and the divergent modes
+/// differ only in where a pass's per-lane enabled counts come from (a
+/// whole-graph `step_lanes` sweep vs the maintained bitset) and in how a
+/// pass commits (the fired set blended in vs per-lane selections) and
+/// refreshes (nothing vs the touched neighborhood).
+#[allow(clippy::too_many_arguments)]
+fn run_lanes<P: PackedProtocol>(
     graph: &Graph,
     protocol: &P,
     daemon: BatchDaemon,
     lane_seeds: &[u64],
-    inits: &[Configuration<P::State>],
+    mut configs: Vec<Configuration<P::State>>,
     max_steps: usize,
+    measure: Option<&LaneMeasure<P::State>>,
     dense_sweep: bool,
-) -> Vec<LaneSummary<P::State>> {
-    let (n, lanes) = check_batch_args(graph, inits);
-    let mut soa = pack_soa(protocol, n, inits);
+) -> Vec<(StabilizationReport, Configuration<P::State>)> {
+    let n = graph.n();
+    let lanes = configs.len();
+    assert!(lanes > 0, "a batch needs at least one replica lane");
+    for config in &configs {
+        assert_eq!(config.len(), n, "configuration size must match graph");
+    }
+    let mut soa = pack_soa(protocol, n, &configs);
     let mut next = soa.clone();
     let mut fired = vec![false; n * lanes];
     let mut scratch = P::LaneScratch::default();
     let mut ls = LaneState::new(lanes);
-    let mut ds = DivergentState::new(daemon, n, lanes, lane_seeds, dense_sweep);
-    protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
-    ds.diff_all_rows(&fired);
-
-    while ls.active > 0 {
-        let mut committed = 0usize;
-        for l in 0..lanes {
-            ls.commit[l] = false;
-            if ls.stop[l].is_some() {
-                continue;
-            }
-            ls.counters[l].guard_evals += n as u64;
-            // The scalar engine's loop-top order: terminal first, then the
-            // step limit (no observers on the plain path).
-            if ds.cnt[l] == 0 {
-                ls.stop[l] = Some(StopReason::Terminal);
-                ls.active -= 1;
-            } else if ls.steps[l] >= max_steps {
-                ls.stop[l] = Some(StopReason::MaxSteps);
-                ls.active -= 1;
-            } else {
-                ls.commit[l] = true;
-                committed += 1;
-            }
+    // Measured lanes keep `configs` as mirrors for predicate evaluation,
+    // repaired from each commit — O(moves) per lane-step, no clones.
+    if let Some(m) = measure {
+        for (tally, config) in ls.tallies.iter_mut().zip(&configs) {
+            m.observe(tally, 0, config, graph);
         }
+    }
+    let mut divergent = match daemon {
+        BatchDaemon::Sync => None,
+        _ => {
+            let mut ds = DivergentState::new(daemon, n, lanes, lane_seeds, dense_sweep);
+            protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
+            ds.diff_all_rows(&fired);
+            Some(ds)
+        }
+    };
+
+    loop {
+        match &divergent {
+            None => {
+                protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
+                count_fired(lanes, &fired, &mut ls.fired_count);
+            }
+            Some(ds) => ls.fired_count.copy_from_slice(&ds.cnt),
+        }
+        let committed = ls.stop_checks(n, max_steps, measure);
         if committed == 0 {
             break;
         }
         ls.charge_pass(lanes, committed);
-        ds.select(&ls.commit);
-        ds.commit(graph, &ls.commit, &next, &mut soa, |_, _, _| {});
-        for l in 0..lanes {
+        // Commit, repairing measured lanes' mirrors on the way. Under Sync
+        // a step moves the whole fired set.
+        match divergent.as_mut() {
+            None => {
+                commit_fired(lanes, &ls.commit, &fired, &next, &mut soa);
+                if measure.is_some() {
+                    for v in 0..n {
+                        let base = v * lanes;
+                        for l in 0..lanes {
+                            if fired[base + l] && ls.commit[l] {
+                                configs[l].set(VertexId::new(v), protocol.unpack(next[base + l]));
+                            }
+                        }
+                    }
+                }
+            }
+            Some(ds) => {
+                ds.select(&ls.commit);
+                ds.commit(graph, &ls.commit, &next, &mut soa, |l, v, val| {
+                    if measure.is_some() {
+                        configs[l].set(VertexId::new(v), protocol.unpack(val));
+                    }
+                });
+            }
+        }
+        // The verdicts land at the post-commit step index: the scalar
+        // observers see `event.step` with every move of the step applied.
+        for (l, config) in configs.iter().enumerate() {
             if ls.commit[l] {
-                let moved = ds.moved(l);
+                let moved =
+                    divergent.as_ref().map_or(u64::from(ls.fired_count[l]), |ds| ds.moved(l));
                 ls.steps[l] += 1;
                 ls.moves[l] += moved;
                 ls.counters[l].delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
-            }
-        }
-        ds.refresh(graph, protocol, &soa, &mut next, &mut fired, &mut scratch);
-    }
-
-    ls.flush_telemetry(lanes);
-    collect_summaries(protocol, n, lanes, &soa, &ls)
-}
-
-fn collect_summaries<P: PackedProtocol>(
-    protocol: &P,
-    n: usize,
-    lanes: usize,
-    soa: &[P::Lane],
-    ls: &LaneState,
-) -> Vec<LaneSummary<P::State>> {
-    (0..lanes)
-        .map(|l| LaneSummary {
-            final_config: Configuration::from_fn(n, |v| {
-                protocol.unpack(soa[v.index() * lanes + l])
-            }),
-            steps: ls.steps[l],
-            moves: ls.moves[l],
-            stop: ls.stop[l].expect("every lane stopped"),
-        })
-        .collect()
-}
-
-/// Per-lane replica of the `MeasurementContext` monitor stack: safety
-/// monitor, legitimacy monitor and optional `StopAfterStable` counter,
-/// updated with the exact indices and order the scalar observers see.
-struct LaneMonitors {
-    violations: usize,
-    first_violation: Option<usize>,
-    last_violation: Option<usize>,
-    first_legitimate: Option<usize>,
-    last_illegitimate: Option<usize>,
-    seen: usize,
-    consecutive: usize,
-}
-
-impl LaneMonitors {
-    fn start<S>(
-        config: &Configuration<S>,
-        graph: &Graph,
-        safety: &ConfigPredicate<S>,
-        legitimacy: &ConfigPredicate<S>,
-        early_stop: Option<&(&ConfigPredicate<S>, usize)>,
-    ) -> Self {
-        let mut m = Self {
-            violations: 0,
-            first_violation: None,
-            last_violation: None,
-            first_legitimate: None,
-            last_illegitimate: None,
-            seen: 0,
-            consecutive: 0,
-        };
-        m.check(0, config, graph, safety, legitimacy);
-        if let Some((pred, _)) = early_stop {
-            m.consecutive = usize::from(pred(config, graph));
-        }
-        m
-    }
-
-    fn check<S>(
-        &mut self,
-        index: usize,
-        config: &Configuration<S>,
-        graph: &Graph,
-        safety: &ConfigPredicate<S>,
-        legitimacy: &ConfigPredicate<S>,
-    ) {
-        if !safety(config, graph) {
-            self.violations += 1;
-            self.first_violation.get_or_insert(index);
-            self.last_violation = Some(index);
-        }
-        self.seen = index + 1;
-        if legitimacy(config, graph) {
-            self.first_legitimate.get_or_insert(index);
-        } else {
-            self.last_illegitimate = Some(index);
-        }
-    }
-
-    fn step<S>(
-        &mut self,
-        index: usize,
-        config: &Configuration<S>,
-        graph: &Graph,
-        safety: &ConfigPredicate<S>,
-        legitimacy: &ConfigPredicate<S>,
-        early_stop: Option<&(&ConfigPredicate<S>, usize)>,
-    ) {
-        self.check(index, config, graph, safety, legitimacy);
-        if let Some((pred, _)) = early_stop {
-            if pred(config, graph) {
-                self.consecutive += 1;
-            } else {
-                self.consecutive = 0;
-            }
-        }
-    }
-
-    fn should_stop(&self, margin: Option<usize>) -> bool {
-        margin.is_some_and(|m| self.consecutive > m)
-    }
-
-    fn ended_legitimate(&self) -> bool {
-        match (self.first_legitimate, self.last_illegitimate) {
-            (Some(_), None) => true,
-            (Some(f), Some(l)) => f > l || self.seen > l + 1,
-            _ => false,
-        }
-    }
-
-    fn into_report(
-        self,
-        steps: usize,
-        moves: u64,
-        stop: StopReason,
-        counters: RunCounters,
-    ) -> StabilizationReport {
-        StabilizationReport {
-            steps_run: steps,
-            moves,
-            stop,
-            last_violation: self.last_violation,
-            violation_count: self.violations,
-            stabilization_steps: self.last_violation.map_or(0, |i| i + 1),
-            first_legitimate: self.first_legitimate,
-            legitimacy_entry: self.last_illegitimate.map_or(0, |i| i + 1),
-            ended_legitimate: self.ended_legitimate(),
-            counters,
-        }
-    }
-}
-
-/// [`run_batch_measured_with`] under the synchronous daemon (the original
-/// measured entry point, kept as the common case's short name).
-///
-/// # Panics
-///
-/// Panics when `inits` is empty or a configuration's size does not match
-/// the graph.
-#[must_use]
-pub fn run_batch_measured<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    inits: Vec<Configuration<P::State>>,
-    max_steps: usize,
-    safety: &ConfigPredicate<P::State>,
-    legitimacy: &ConfigPredicate<P::State>,
-    early_stop: Option<(&ConfigPredicate<P::State>, usize)>,
-) -> Vec<(StabilizationReport, Configuration<P::State>)> {
-    run_batch_measured_with(
-        graph,
-        protocol,
-        BatchDaemon::Sync,
-        &[],
-        inits,
-        max_steps,
-        safety,
-        legitimacy,
-        early_stop,
-    )
-}
-
-/// [`run_batch_with`] with the full per-lane measurement stack: each lane
-/// gets the [`StabilizationReport`] a scalar
-/// [`MeasurementContext`](crate::measure::MeasurementContext) (optionally
-/// with early stop) would produce from the same initial configuration
-/// under the matching daemon, plus its final configuration. For the
-/// random daemons, `lane_seeds[l]` must be the seed the scalar daemon
-/// for replica `l` was constructed with (deterministic daemons pass
-/// `&[]`).
-///
-/// `early_stop` mirrors
-/// [`MeasurementContext::with_early_stop`](crate::measure::MeasurementContext::with_early_stop):
-/// `(predicate, margin)` stops a lane once the predicate has held for
-/// `margin + 1` consecutive configurations.
-///
-/// # Panics
-///
-/// Panics when `inits` is empty, a configuration's size does not match
-/// the graph, or a random daemon's `lane_seeds` length does not match
-/// `inits.len()`.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_batch_measured_with<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    daemon: BatchDaemon,
-    lane_seeds: &[u64],
-    inits: Vec<Configuration<P::State>>,
-    max_steps: usize,
-    safety: &ConfigPredicate<P::State>,
-    legitimacy: &ConfigPredicate<P::State>,
-    early_stop: Option<(&ConfigPredicate<P::State>, usize)>,
-) -> Vec<(StabilizationReport, Configuration<P::State>)> {
-    match daemon {
-        BatchDaemon::Sync => run_batch_measured_sync(
-            graph, protocol, inits, max_steps, safety, legitimacy, early_stop,
-        ),
-        _ => run_batch_measured_divergent(
-            graph, protocol, daemon, lane_seeds, inits, max_steps, safety, legitimacy, early_stop,
-        ),
-    }
-}
-
-fn run_batch_measured_sync<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    inits: Vec<Configuration<P::State>>,
-    max_steps: usize,
-    safety: &ConfigPredicate<P::State>,
-    legitimacy: &ConfigPredicate<P::State>,
-    early_stop: Option<(&ConfigPredicate<P::State>, usize)>,
-) -> Vec<(StabilizationReport, Configuration<P::State>)> {
-    let (n, lanes) = check_batch_args(graph, &inits);
-    let mut soa = pack_soa(protocol, n, &inits);
-    let mut next = soa.clone();
-    let mut fired = vec![false; n * lanes];
-    let mut scratch = P::LaneScratch::default();
-    let mut ls = LaneState::new(lanes);
-    // The init configurations double as per-lane mirrors for predicate
-    // evaluation, repaired incrementally from the fired set each commit —
-    // O(moves) per step per lane, no clones.
-    let mut mirrors = inits;
-    let mut monitors: Vec<LaneMonitors> = mirrors
-        .iter()
-        .map(|m| LaneMonitors::start(m, graph, safety, legitimacy, early_stop.as_ref()))
-        .collect();
-
-    while ls.active > 0 {
-        protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
-        count_fired(n, lanes, &fired, &mut ls.fired_count);
-        let margin = early_stop.as_ref().map(|&(_, m)| m);
-        let committed = measured_stop_checks(&mut ls, &monitors, n, max_steps, margin);
-        ls.charge_pass(lanes, committed);
-        // Commit, then repair the per-lane mirrors to match, then run the
-        // monitor checks at the post-commit step index (the scalar
-        // observers see `event.step` = steps-after-increment). Under Sync
-        // the repair covers the whole fired set.
-        commit_fired(n, lanes, &ls.commit, &fired, &next, &mut soa);
-        for v in 0..n {
-            let base = v * lanes;
-            for l in 0..lanes {
-                if fired[base + l] && ls.commit[l] {
-                    mirrors[l].set(VertexId::new(v), protocol.unpack(next[base + l]));
+                if let Some(m) = measure {
+                    m.observe(&mut ls.tallies[l], ls.steps[l], config, graph);
                 }
             }
         }
-        for l in 0..lanes {
-            if ls.commit[l] {
-                let moved = u64::from(ls.fired_count[l]);
-                ls.steps[l] += 1;
-                ls.moves[l] += moved;
-                ls.counters[l].delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
-                monitors[l].step(
-                    ls.steps[l],
-                    &mirrors[l],
-                    graph,
-                    safety,
-                    legitimacy,
-                    early_stop.as_ref(),
-                );
-            }
+        if let Some(ds) = divergent.as_mut() {
+            ds.refresh(graph, protocol, &soa, &mut next, &mut fired, &mut scratch);
         }
     }
 
     ls.flush_telemetry(lanes);
-    collect_measured(monitors, mirrors, ls)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_batch_measured_divergent<P: PackedProtocol>(
-    graph: &Graph,
-    protocol: &P,
-    daemon: BatchDaemon,
-    lane_seeds: &[u64],
-    inits: Vec<Configuration<P::State>>,
-    max_steps: usize,
-    safety: &ConfigPredicate<P::State>,
-    legitimacy: &ConfigPredicate<P::State>,
-    early_stop: Option<(&ConfigPredicate<P::State>, usize)>,
-) -> Vec<(StabilizationReport, Configuration<P::State>)> {
-    let (n, lanes) = check_batch_args(graph, &inits);
-    let mut soa = pack_soa(protocol, n, &inits);
-    let mut next = soa.clone();
-    let mut fired = vec![false; n * lanes];
-    let mut scratch = P::LaneScratch::default();
-    let mut ls = LaneState::new(lanes);
-    let mut ds = DivergentState::new(daemon, n, lanes, lane_seeds, false);
-    let mut mirrors = inits;
-    let mut monitors: Vec<LaneMonitors> = mirrors
-        .iter()
-        .map(|m| LaneMonitors::start(m, graph, safety, legitimacy, early_stop.as_ref()))
-        .collect();
-    protocol.step_lanes(graph, lanes, &soa, &mut next, &mut fired, &mut scratch);
-    ds.diff_all_rows(&fired);
-
-    while ls.active > 0 {
-        ls.fired_count.copy_from_slice(&ds.cnt);
-        let margin = early_stop.as_ref().map(|&(_, m)| m);
-        let committed = measured_stop_checks(&mut ls, &monitors, n, max_steps, margin);
-        if committed == 0 {
-            break;
-        }
-        ls.charge_pass(lanes, committed);
-        ds.select(&ls.commit);
-        // Commit and repair each lane's mirror in one walk, then run the
-        // monitor checks at the post-commit step index — the scalar
-        // observers see every move of the step applied before the check.
-        ds.commit(graph, &ls.commit, &next, &mut soa, |l, v, val| {
-            mirrors[l].set(VertexId::new(v), protocol.unpack(val));
-        });
-        for l in 0..lanes {
-            if ls.commit[l] {
-                let moved = ds.moved(l);
-                ls.steps[l] += 1;
-                ls.moves[l] += moved;
-                ls.counters[l].delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
-                monitors[l].step(
-                    ls.steps[l],
-                    &mirrors[l],
-                    graph,
-                    safety,
-                    legitimacy,
-                    early_stop.as_ref(),
-                );
-            }
-        }
-        ds.refresh(graph, protocol, &soa, &mut next, &mut fired, &mut scratch);
-    }
-
-    ls.flush_telemetry(lanes);
-    collect_measured(monitors, mirrors, ls)
-}
-
-/// The measured runners' shared stop-check pass: terminal, step limit,
-/// observer request — the scalar engine's loop-top order. Returns how
-/// many lanes will commit a step this pass.
-fn measured_stop_checks(
-    ls: &mut LaneState,
-    monitors: &[LaneMonitors],
-    n: usize,
-    max_steps: usize,
-    margin: Option<usize>,
-) -> usize {
-    let mut committed = 0usize;
-    for (l, monitor) in monitors.iter().enumerate() {
-        ls.commit[l] = false;
-        if ls.stop[l].is_some() {
-            continue;
-        }
-        ls.counters[l].guard_evals += n as u64;
-        if ls.fired_count[l] == 0 {
-            ls.stop[l] = Some(StopReason::Terminal);
-            ls.active -= 1;
-        } else if ls.steps[l] >= max_steps {
-            ls.stop[l] = Some(StopReason::MaxSteps);
-            ls.active -= 1;
-        } else if monitor.should_stop(margin) {
-            ls.stop[l] = Some(StopReason::ObserverRequest);
-            ls.active -= 1;
-        } else {
-            ls.commit[l] = true;
-            committed += 1;
+    // Every lane's final configuration is its frozen packed state (the
+    // measured mirrors already agree with it).
+    for v in 0..n {
+        for (l, config) in configs.iter_mut().enumerate() {
+            config.set(VertexId::new(v), protocol.unpack(soa[v * lanes + l]));
         }
     }
-    committed
-}
-
-fn collect_measured<S>(
-    monitors: Vec<LaneMonitors>,
-    mirrors: Vec<Configuration<S>>,
-    ls: LaneState,
-) -> Vec<(StabilizationReport, Configuration<S>)> {
-    monitors
+    configs
         .into_iter()
-        .zip(mirrors)
         .enumerate()
-        .map(|(l, (m, final_config))| {
-            let report = m.into_report(
-                ls.steps[l],
-                ls.moves[l],
-                ls.stop[l].expect("every lane stopped"),
-                ls.counters[l],
-            );
-            (report, final_config)
+        .map(|(l, config)| {
+            let stop = ls.stop[l].expect("every lane stopped");
+            (ls.tallies[l].report(ls.steps[l], ls.moves[l], stop, ls.counters[l]), config)
         })
         .collect()
 }

@@ -263,8 +263,9 @@ pub trait ProtocolHarness: Sized {
     /// batched run (see [`crate::batch`]), producing per lane the exact
     /// [`StabilizationReport`] (and final configuration) a scalar
     /// measured run from the same initial configuration under the
-    /// matching scalar daemon yields — same monitors, same early stop
-    /// with `early_stop_margin`, same stop-reason ordering. For the
+    /// matching scalar daemon yields — same predicates, the same early
+    /// stop on legitimacy with `early_stop_margin`, the same stop-reason
+    /// ordering. For the
     /// random daemons, `lane_seeds[l]` must be the seed lane `l`'s scalar
     /// daemon was constructed with (one per replica; deterministic
     /// daemons pass `&[]`), so every lane replays its scalar RNG draw
@@ -273,9 +274,8 @@ pub trait ProtocolHarness: Sized {
     /// `None` (the default) means "no packed implementation — use the
     /// scalar path". Harnesses whose protocols implement
     /// [`PackedProtocol`](crate::batch::PackedProtocol) override this to
-    /// call
-    /// [`run_batch_measured_with`](crate::batch::run_batch_measured_with)
-    /// with their own predicates.
+    /// call [`run_batch`](crate::batch::run_batch) measured with their own
+    /// safety and legitimacy predicates.
     #[must_use]
     fn batched_measure(
         &self,

@@ -75,7 +75,7 @@ pub mod protocol;
 pub mod search;
 pub mod spec;
 
-pub use batch::{run_batch, run_batch_measured, LaneSummary, PackedProtocol};
+pub use batch::{run_batch, LaneMeasure, PackedProtocol};
 pub use config::Configuration;
 pub use daemon::{Daemon, DaemonClass};
 pub use engine::{RunLimits, RunSummary, Simulator, StepScratch};

@@ -14,10 +14,9 @@
 use crate::config::Configuration;
 use crate::daemon::Daemon;
 use crate::engine::{RunLimits, Simulator, StepScratch, StopReason};
-use crate::observer::{
-    ConfigPredicate, LegitimacyMonitor, MoveCounter, Observer, SafetyMonitor, StopAfterStable,
-};
+use crate::observer::{ConfigPredicate, Observer, StepEvent};
 use crate::protocol::Protocol;
+use specstab_telemetry::RunCounters;
 use specstab_topology::Graph;
 
 /// Outcome of a measured run.
@@ -44,7 +43,7 @@ pub struct StabilizationReport {
     /// The run's deterministic engine counters (see
     /// [`crate::engine::RunSummary::counters`]), passed through so batch
     /// drivers can aggregate telemetry without touching the global.
-    pub counters: specstab_telemetry::RunCounters,
+    pub counters: RunCounters,
 }
 
 /// Parameters for [`measure_stabilization`].
@@ -61,42 +60,168 @@ impl MeasureSettings {
     }
 }
 
-/// The reusable per-run measurement context: safety + legitimacy monitors,
-/// move accounting and optional early stopping, bundled so every caller
-/// (the `measure_*` helpers here, the campaign executor's workers, ad-hoc
-/// tools) assembles identical [`StabilizationReport`]s.
+/// The predicate-free bookkeeping behind every [`StabilizationReport`].
 ///
-/// All four monitors observe borrowed configurations and the step delta —
-/// none of them clones, so a measured run keeps the engine's
-/// zero-allocation steady state (see [`crate::engine`]).
+/// A tally is fed one `(safe, legitimate, stop)` verdict triple per
+/// configuration index, in order from index 0, and keeps the violation
+/// count, the first/last violation, legitimacy entry, whether the run
+/// ended legitimate and the consecutive-stop counter behind early
+/// stopping. The scalar [`MeasurementContext`] and every lane of
+/// [`crate::batch::run_batch`] drive one tally per run, so both engines
+/// assemble their reports from this one piece of code.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct VerdictTally {
+    violations: usize,
+    first_violation: Option<usize>,
+    last_violation: Option<usize>,
+    first_legitimate: Option<usize>,
+    last_illegitimate: Option<usize>,
+    ended_legitimate: bool,
+    consecutive_stop: usize,
+}
+
+impl VerdictTally {
+    /// An empty tally (nothing recorded yet).
+    #[must_use]
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records the verdicts on configuration `index` (`γ_index`).
+    pub(crate) fn record(&mut self, index: usize, safe: bool, legitimate: bool, stop: bool) {
+        self.record_safety(index, safe);
+        self.record_legitimacy(index, legitimate);
+        self.consecutive_stop = if stop { self.consecutive_stop + 1 } else { 0 };
+    }
+
+    /// The safety half of [`VerdictTally::record`].
+    pub(crate) fn record_safety(&mut self, index: usize, safe: bool) {
+        if !safe {
+            self.violations += 1;
+            self.first_violation.get_or_insert(index);
+            self.last_violation = Some(index);
+        }
+    }
+
+    /// The legitimacy half of [`VerdictTally::record`].
+    pub(crate) fn record_legitimacy(&mut self, index: usize, legitimate: bool) {
+        if legitimate {
+            self.first_legitimate.get_or_insert(index);
+        } else {
+            self.last_illegitimate = Some(index);
+        }
+        self.ended_legitimate = legitimate;
+    }
+
+    /// Whether the stop verdict has held for `margin + 1` consecutive
+    /// configurations.
+    #[must_use]
+    pub(crate) fn should_stop(&self, margin: usize) -> bool {
+        self.consecutive_stop > margin
+    }
+
+    /// Number of unsafe configurations recorded (counting multiplicity).
+    #[must_use]
+    pub(crate) fn violations(&self) -> usize {
+        self.violations
+    }
+
+    /// Index of the first unsafe configuration.
+    #[must_use]
+    pub(crate) fn first_violation(&self) -> Option<usize> {
+        self.first_violation
+    }
+
+    /// Index of the last unsafe configuration.
+    #[must_use]
+    pub(crate) fn last_violation(&self) -> Option<usize> {
+        self.last_violation
+    }
+
+    /// `last_violation + 1`: the measured (per-execution) stabilization
+    /// time with respect to safety, `0` when safety always held.
+    #[must_use]
+    pub(crate) fn measured_stabilization(&self) -> usize {
+        self.last_violation.map_or(0, |i| i + 1)
+    }
+
+    /// First index at which legitimacy held.
+    #[must_use]
+    pub(crate) fn first_legitimate(&self) -> Option<usize> {
+        self.first_legitimate
+    }
+
+    /// `last_illegitimate + 1`: the index from which legitimacy held for
+    /// the rest of the recorded execution, `0` when it always held.
+    #[must_use]
+    pub(crate) fn legitimacy_entry(&self) -> usize {
+        self.last_illegitimate.map_or(0, |i| i + 1)
+    }
+
+    /// Whether the last recorded configuration was legitimate.
+    #[must_use]
+    pub(crate) fn ended_legitimate(&self) -> bool {
+        self.ended_legitimate
+    }
+
+    /// Assembles the report of a run that executed `steps_run` steps and
+    /// `moves` moves before stopping for `stop`.
+    #[must_use]
+    pub(crate) fn report(
+        &self,
+        steps_run: usize,
+        moves: u64,
+        stop: StopReason,
+        counters: RunCounters,
+    ) -> StabilizationReport {
+        StabilizationReport {
+            steps_run,
+            moves,
+            stop,
+            last_violation: self.last_violation,
+            violation_count: self.violations,
+            stabilization_steps: self.measured_stabilization(),
+            first_legitimate: self.first_legitimate,
+            legitimacy_entry: self.legitimacy_entry(),
+            ended_legitimate: self.ended_legitimate,
+            counters,
+        }
+    }
+}
+
+/// The reusable per-run measurement context: one [`Observer`] that
+/// evaluates the safety, legitimacy and optional early-stop predicates on
+/// every configuration of a run and feeds the verdicts to the tally that
+/// the batched engine's lanes also use. Every caller (the `measure_*`
+/// helpers here, the campaign executor's workers, ad-hoc tools) thus
+/// assembles identical [`StabilizationReport`]s.
+///
+/// The predicates observe borrowed configurations — nothing is cloned, so
+/// a measured run keeps the engine's zero-allocation steady state (see
+/// [`crate::engine`]).
 ///
 /// A context is one-shot: build, [`MeasurementContext::run`], read the
 /// report. It is `Send`, so whole measured runs can be dispatched to worker
 /// threads.
 pub struct MeasurementContext<S> {
-    safety_mon: SafetyMonitor<S>,
-    legit_mon: LegitimacyMonitor<S>,
-    moves: MoveCounter,
-    stopper: Option<StopAfterStable<S>>,
+    safety: ConfigPredicate<S>,
+    legitimacy: ConfigPredicate<S>,
+    early_stop: Option<(ConfigPredicate<S>, usize)>,
+    tally: VerdictTally,
 }
 
 impl<S> MeasurementContext<S> {
     /// A context measuring the given safety and legitimacy predicates.
     #[must_use]
     pub fn new(safety: ConfigPredicate<S>, legitimacy: ConfigPredicate<S>) -> Self {
-        Self {
-            safety_mon: SafetyMonitor::new(safety),
-            legit_mon: LegitimacyMonitor::new(legitimacy),
-            moves: MoveCounter::new(),
-            stopper: None,
-        }
+        Self { safety, legitimacy, early_stop: None, tally: VerdictTally::new() }
     }
 
     /// Additionally stops the run once `stop_pred` (expected closed) has
     /// held for `margin + 1` consecutive configurations.
     #[must_use]
     pub fn with_early_stop(mut self, stop_pred: ConfigPredicate<S>, margin: usize) -> Self {
-        self.stopper = Some(StopAfterStable::new(stop_pred, margin));
+        self.early_stop = Some((stop_pred, margin));
         self
     }
 
@@ -123,32 +248,38 @@ impl<S> MeasurementContext<S> {
         max_steps: usize,
         scratch: &mut StepScratch<S>,
     ) -> StabilizationReport {
-        let summary = {
-            let mut observers: Vec<&mut dyn Observer<S>> =
-                vec![&mut self.safety_mon, &mut self.legit_mon, &mut self.moves];
-            if let Some(stopper) = self.stopper.as_mut() {
-                observers.push(stopper);
-            }
-            sim.run_with_scratch(
-                init,
-                daemon,
-                RunLimits::with_max_steps(max_steps),
-                &mut observers,
-                scratch,
-            )
-        };
-        StabilizationReport {
-            steps_run: summary.steps,
-            moves: summary.moves,
-            stop: summary.stop,
-            last_violation: self.safety_mon.last_violation(),
-            violation_count: self.safety_mon.violations(),
-            stabilization_steps: self.safety_mon.measured_stabilization(),
-            first_legitimate: self.legit_mon.first_legitimate(),
-            legitimacy_entry: self.legit_mon.entry_index(),
-            ended_legitimate: self.legit_mon.currently_legitimate(),
-            counters: summary.counters,
-        }
+        let summary = sim.run_with_scratch(
+            init,
+            daemon,
+            RunLimits::with_max_steps(max_steps),
+            &mut [&mut self],
+            scratch,
+        );
+        self.tally.report(summary.steps, summary.moves, summary.stop, summary.counters)
+    }
+
+    fn observe(&mut self, index: usize, config: &Configuration<S>, graph: &Graph) {
+        let stop = self.early_stop.as_ref().is_some_and(|(pred, _)| pred(config, graph));
+        self.tally.record(
+            index,
+            (self.safety)(config, graph),
+            (self.legitimacy)(config, graph),
+            stop,
+        );
+    }
+}
+
+impl<S> Observer<S> for MeasurementContext<S> {
+    fn on_start(&mut self, config: &Configuration<S>, graph: &Graph) {
+        self.observe(0, config, graph);
+    }
+
+    fn on_step(&mut self, event: &StepEvent<'_, S>) {
+        self.observe(event.step, event.after, event.graph);
+    }
+
+    fn should_stop(&self) -> bool {
+        self.early_stop.as_ref().is_some_and(|&(_, margin)| self.tally.should_stop(margin))
     }
 }
 
@@ -291,6 +422,72 @@ mod tests {
         );
         assert_eq!(report.stabilization_steps, 7);
         assert!(report.ended_legitimate);
+    }
+
+    #[test]
+    fn early_stop_cuts_run_short() {
+        let g = generators::path(6).unwrap();
+        let sim = Simulator::new(&g, &MaxProto);
+        let init = Configuration::from_fn(6, |v| if v.index() == 0 { 9 } else { 0 });
+        // The stop predicate holds from γ_2 on (vertices 0..=2 at 9), so a
+        // zero margin stops the run before its third step.
+        let report = MeasurementContext::new(uniform_pred(), uniform_pred())
+            .with_early_stop(Box::new(|c, _| c.states()[..3].iter().all(|&s| s == 9)), 0)
+            .run(&sim, &mut SynchronousDaemon::new(), init, 100);
+        assert_eq!(report.stop, StopReason::ObserverRequest);
+        assert_eq!(report.steps_run, 2);
+        assert!(!report.ended_legitimate);
+    }
+
+    /// Feeds `legit[i]` as the legitimacy verdict of `γ_i` (always safe).
+    fn tally_of(legit: &[bool]) -> VerdictTally {
+        let mut tally = VerdictTally::new();
+        for (i, &l) in legit.iter().enumerate() {
+            tally.record(i, true, l, l);
+        }
+        tally
+    }
+
+    #[test]
+    fn tally_legitimacy_entry_edge_cases() {
+        // Nothing recorded.
+        let empty = VerdictTally::new();
+        assert_eq!((empty.first_legitimate(), empty.legitimacy_entry()), (None, 0));
+        assert!(!empty.ended_legitimate());
+        // Never legitimate.
+        let never = tally_of(&[false, false, false]);
+        assert_eq!((never.first_legitimate(), never.legitimacy_entry()), (None, 3));
+        assert!(!never.ended_legitimate());
+        // Legitimate, then lost.
+        let lost = tally_of(&[true, true, false]);
+        assert_eq!((lost.first_legitimate(), lost.legitimacy_entry()), (Some(0), 3));
+        assert!(!lost.ended_legitimate());
+        // Lost and re-entered: entry counts from the last re-entry.
+        let reentered = tally_of(&[false, true, false, true, true]);
+        assert_eq!((reentered.first_legitimate(), reentered.legitimacy_entry()), (Some(1), 3));
+        assert!(reentered.ended_legitimate());
+        // Legitimate from index 0 on.
+        let always = tally_of(&[true, true]);
+        assert_eq!((always.first_legitimate(), always.legitimacy_entry()), (Some(0), 0));
+        assert!(always.ended_legitimate());
+    }
+
+    #[test]
+    fn tally_tracks_violations_and_stop_runs() {
+        let mut tally = VerdictTally::new();
+        for (i, safe) in [false, true, false, true].into_iter().enumerate() {
+            tally.record(i, safe, true, true);
+        }
+        assert_eq!(tally.violations(), 2);
+        assert_eq!((tally.first_violation(), tally.last_violation()), (Some(0), Some(2)));
+        assert_eq!(tally.measured_stabilization(), 3);
+        assert!(tally.should_stop(3) && !tally.should_stop(4));
+        // A false stop verdict resets the consecutive run.
+        tally.record(4, true, true, false);
+        assert!(!tally.should_stop(0));
+        let report = tally.report(4, 7, StopReason::MaxSteps, RunCounters::new());
+        assert_eq!((report.violation_count, report.stabilization_steps), (2, 3));
+        assert_eq!((report.steps_run, report.moves), (4, 7));
     }
 
     #[test]

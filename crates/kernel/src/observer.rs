@@ -2,9 +2,13 @@
 //!
 //! Observers receive the initial configuration and every transition. They
 //! power stabilization measurement ([`SafetyMonitor`],
-//! [`LegitimacyMonitor`]), accounting ([`MoveCounter`], [`RoundCounter`]),
-//! trace capture ([`ConfigTrace`]) and early stopping
-//! ([`StopAfterStable`]).
+//! [`LegitimacyMonitor`], and the all-in-one
+//! [`MeasurementContext`](crate::measure::MeasurementContext) with its
+//! early stop), accounting ([`MoveCounter`], [`RoundCounter`]) and trace
+//! capture ([`ConfigTrace`]). The measurement observers only evaluate
+//! predicates. The bookkeeping that turns their verdicts into a
+//! stabilization report is one tally in [`crate::measure`], which the
+//! batched engine's lanes share.
 //!
 //! Every [`StepEvent`] carries the step's `(vertex, before, after)` state
 //! **delta** alongside borrowed before/after configurations, so observers
@@ -13,6 +17,7 @@
 //! step.
 
 use crate::config::Configuration;
+use crate::measure::VerdictTally;
 use crate::protocol::RuleId;
 use specstab_topology::{Graph, VertexId};
 
@@ -63,150 +68,96 @@ pub type ConfigPredicate<S> = Box<dyn Fn(&Configuration<S>, &Graph) -> bool + Se
 ///
 /// The measured stabilization time of an execution (w.r.t. safety) is
 /// `last_violation + 1`, or `0` when no configuration ever violates safety.
+/// The bookkeeping is the safety half of the tally behind
+/// [`MeasurementContext`](crate::measure::MeasurementContext).
 pub struct SafetyMonitor<S> {
     safe: ConfigPredicate<S>,
-    violations: usize,
-    first_violation: Option<usize>,
-    last_violation: Option<usize>,
+    tally: VerdictTally,
 }
 
 impl<S> SafetyMonitor<S> {
     /// Creates a monitor for the given safety predicate.
     #[must_use]
     pub fn new(safe: ConfigPredicate<S>) -> Self {
-        Self { safe, violations: 0, first_violation: None, last_violation: None }
+        Self { safe, tally: VerdictTally::new() }
     }
 
     /// Number of unsafe configurations seen (counting multiplicity).
     #[must_use]
     pub fn violations(&self) -> usize {
-        self.violations
+        self.tally.violations()
     }
 
     /// Index of the first unsafe configuration.
     #[must_use]
     pub fn first_violation(&self) -> Option<usize> {
-        self.first_violation
+        self.tally.first_violation()
     }
 
     /// Index of the last unsafe configuration.
     #[must_use]
     pub fn last_violation(&self) -> Option<usize> {
-        self.last_violation
+        self.tally.last_violation()
     }
 
     /// `last_violation + 1`: the measured (per-execution) stabilization
     /// time with respect to safety.
     #[must_use]
     pub fn measured_stabilization(&self) -> usize {
-        self.last_violation.map_or(0, |i| i + 1)
-    }
-
-    fn check(&mut self, index: usize, config: &Configuration<S>, graph: &Graph) {
-        if !(self.safe)(config, graph) {
-            self.violations += 1;
-            self.first_violation.get_or_insert(index);
-            self.last_violation = Some(index);
-        }
+        self.tally.measured_stabilization()
     }
 }
 
 impl<S> Observer<S> for SafetyMonitor<S> {
     fn on_start(&mut self, config: &Configuration<S>, graph: &Graph) {
-        self.check(0, config, graph);
+        self.tally.record_safety(0, (self.safe)(config, graph));
     }
     fn on_step(&mut self, event: &StepEvent<'_, S>) {
-        self.check(event.step, event.after, event.graph);
+        self.tally.record_safety(event.step, (self.safe)(event.after, event.graph));
     }
 }
 
-/// Tracks entry into a legitimacy predicate (expected to be closed).
+/// Tracks entry into a legitimacy predicate (expected to be closed): the
+/// legitimacy half of the tally behind
+/// [`MeasurementContext`](crate::measure::MeasurementContext).
 pub struct LegitimacyMonitor<S> {
     legitimate: ConfigPredicate<S>,
-    first_legitimate: Option<usize>,
-    last_illegitimate: Option<usize>,
-    seen: usize,
+    tally: VerdictTally,
 }
 
 impl<S> LegitimacyMonitor<S> {
     /// Creates a monitor for the given legitimacy predicate.
     #[must_use]
     pub fn new(legitimate: ConfigPredicate<S>) -> Self {
-        Self { legitimate, first_legitimate: None, last_illegitimate: None, seen: 0 }
+        Self { legitimate, tally: VerdictTally::new() }
     }
 
     /// First index at which the predicate held.
     #[must_use]
     pub fn first_legitimate(&self) -> Option<usize> {
-        self.first_legitimate
+        self.tally.first_legitimate()
     }
 
     /// `last_illegitimate + 1`: the index from which the predicate held for
     /// the rest of the (observed) execution. `0` when it always held.
     #[must_use]
     pub fn entry_index(&self) -> usize {
-        self.last_illegitimate.map_or(0, |i| i + 1)
+        self.tally.legitimacy_entry()
     }
 
     /// Whether the final observed configuration was legitimate.
     #[must_use]
     pub fn currently_legitimate(&self) -> bool {
-        match (self.first_legitimate, self.last_illegitimate) {
-            (Some(_), None) => true,
-            (Some(f), Some(l)) => f > l || self.seen > l + 1,
-            _ => false,
-        }
-    }
-
-    fn check(&mut self, index: usize, config: &Configuration<S>, graph: &Graph) {
-        self.seen = index + 1;
-        if (self.legitimate)(config, graph) {
-            self.first_legitimate.get_or_insert(index);
-        } else {
-            self.last_illegitimate = Some(index);
-        }
+        self.tally.ended_legitimate()
     }
 }
 
 impl<S> Observer<S> for LegitimacyMonitor<S> {
     fn on_start(&mut self, config: &Configuration<S>, graph: &Graph) {
-        self.check(0, config, graph);
+        self.tally.record_legitimacy(0, (self.legitimate)(config, graph));
     }
     fn on_step(&mut self, event: &StepEvent<'_, S>) {
-        self.check(event.step, event.after, event.graph);
-    }
-}
-
-/// Requests a stop once a predicate has held for `margin + 1` consecutive
-/// configurations (used to end runs shortly after reaching a closed
-/// legitimate region instead of burning the full step budget).
-pub struct StopAfterStable<S> {
-    pred: ConfigPredicate<S>,
-    margin: usize,
-    consecutive: usize,
-}
-
-impl<S> StopAfterStable<S> {
-    /// Stops after `pred` holds for `margin + 1` consecutive configurations.
-    #[must_use]
-    pub fn new(pred: ConfigPredicate<S>, margin: usize) -> Self {
-        Self { pred, margin, consecutive: 0 }
-    }
-}
-
-impl<S> Observer<S> for StopAfterStable<S> {
-    fn on_start(&mut self, config: &Configuration<S>, graph: &Graph) {
-        self.consecutive = usize::from((self.pred)(config, graph));
-    }
-    fn on_step(&mut self, event: &StepEvent<'_, S>) {
-        if (self.pred)(event.after, event.graph) {
-            self.consecutive += 1;
-        } else {
-            self.consecutive = 0;
-        }
-    }
-    fn should_stop(&self) -> bool {
-        self.consecutive > self.margin
+        self.tally.record_legitimacy(event.step, (self.legitimate)(event.after, event.graph));
     }
 }
 
@@ -514,22 +465,6 @@ mod tests {
         assert_eq!(mon.first_legitimate(), Some(5));
         assert_eq!(mon.entry_index(), 5);
         assert!(mon.currently_legitimate());
-    }
-
-    #[test]
-    fn stop_after_stable_cuts_run_short() {
-        let g = generators::path(6).unwrap();
-        let sim = Simulator::new(&g, &MaxProto);
-        let init = Configuration::from_fn(6, |v| if v.index() == 0 { 9 } else { 0 });
-        let mut d = SynchronousDaemon::new();
-        // Predicate true from γ_3 onwards: first four vertices done.
-        let mut stopper = StopAfterStable::new(
-            Box::new(|c: &Configuration<u32>, _| c.states()[..3].iter().all(|&s| s == 9)),
-            0,
-        );
-        let s = sim.run(init, &mut d, RunLimits::with_max_steps(100), &mut [&mut stopper]);
-        assert_eq!(s.stop, crate::engine::StopReason::ObserverRequest);
-        assert!(s.steps < 5);
     }
 
     #[test]

@@ -1,27 +1,26 @@
-//! Differential suite for replica-parallel batched stepping: every lane
-//! of [`run_batch`] / [`run_batch_measured`] (and their `_with` variants
-//! under the central round-robin, central-rand and random-distributed
-//! daemons) must be observationally identical to an independent scalar
-//! run of the same initial configuration under the matching scalar
-//! daemon — same step/move counts, same stop reason, same final
-//! configuration, and (for the measured runner) the same
-//! [`StabilizationReport`] monitor fields index for index, across
-//! topologies × seeds × lane counts K ∈ {1, 3, 64, 100}. The random
-//! daemons additionally pin the per-lane RNG streams: lane `l` seeded
-//! with `s` replays the scalar daemon seeded with `s` draw for draw.
-//! A final property holds the transposed incremental enabled-bitset to
-//! the dense full-sweep reference it replaced.
+//! Differential suite for replica-parallel batched stepping: under every
+//! batch daemon (sync, central round-robin, central-rand and
+//! random-distributed), every lane of [`run_batch`] must be
+//! observationally identical to an independent scalar run of the same
+//! initial configuration under the matching scalar daemon — same
+//! step/move counts, same stop reason, same final configuration, and
+//! (measured) the same [`StabilizationReport`] fields as a scalar
+//! `MeasurementContext`, with and without early stop, across topologies
+//! × seeds × lane counts K ∈ {1, 3, 64, 100}. The random daemons
+//! additionally pin the per-lane RNG streams: lane `l` seeded with `s`
+//! replays the scalar daemon seeded with `s` draw for draw. A final
+//! property holds the transposed incremental enabled-bitset to the dense
+//! full-sweep reference it replaced.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use specstab_kernel::batch::{
-    run_batch, run_batch_measured, run_batch_measured_with, run_batch_with,
-    run_batch_with_dense_sweep, BatchDaemon, PackedProtocol,
+    run_batch, run_batch_with_dense_sweep, BatchDaemon, LaneMeasure, PackedProtocol,
 };
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::{
-    CentralDaemon, CentralStrategy, RandomDistributedDaemon, SynchronousDaemon,
+    BoxedDaemon, CentralDaemon, CentralStrategy, RandomDistributedDaemon, SynchronousDaemon,
 };
 use specstab_kernel::engine::{RunLimits, Simulator};
 use specstab_kernel::measure::{MeasurementContext, StabilizationReport};
@@ -155,6 +154,32 @@ fn zero_holds_max() -> ConfigPredicate<u32> {
     })
 }
 
+/// Every batch daemon mode the suite sweeps.
+const MODES: [BatchDaemon; 6] = [
+    BatchDaemon::Sync,
+    BatchDaemon::CentralRr,
+    BatchDaemon::CentralRand,
+    BatchDaemon::RandomDistributed { p: 0.25 },
+    BatchDaemon::RandomDistributed { p: 0.5 },
+    BatchDaemon::RandomDistributed { p: 1.0 },
+];
+
+/// The scalar daemon lane `l` of a `mode` batch replays, built from the
+/// lane's seed (ignored by the deterministic daemons).
+fn scalar_daemon(mode: BatchDaemon, seed: u64) -> BoxedDaemon<u32> {
+    match mode {
+        BatchDaemon::Sync => Box::new(SynchronousDaemon::new()),
+        BatchDaemon::CentralRr => Box::new(CentralDaemon::new(CentralStrategy::RoundRobin)),
+        BatchDaemon::CentralRand => Box::new(CentralDaemon::new(CentralStrategy::Random(seed))),
+        BatchDaemon::RandomDistributed { p } => Box::new(RandomDistributedDaemon::new(p, seed)),
+    }
+}
+
+/// One RNG seed per lane.
+fn lane_seeds(k: usize, seed: u64) -> Vec<u64> {
+    (0..k as u64).map(|l| seed ^ (0x5EED * l + 7)).collect()
+}
+
 fn assert_reports_match(lane: &StabilizationReport, scalar: &StabilizationReport) {
     assert_eq!(lane.steps_run, scalar.steps_run);
     assert_eq!(lane.moves, scalar.moves);
@@ -168,238 +193,87 @@ fn assert_reports_match(lane: &StabilizationReport, scalar: &StabilizationReport
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Plain batched runs equal K independent scalar engine runs.
+    /// Plain batched runs equal K independent scalar engine runs under
+    /// the matching scalar daemon. Under the divergent modes lanes
+    /// disagree about which vertices move from the very first step.
     #[test]
     fn batch_equals_scalar_runs(
         case in 0u8..4,
         seed in 0u64..1_000,
+        mode_pick in 0usize..6,
         k_pick in 0usize..4,
         tight in 0u8..2,
     ) {
-        // Alternate between a tight step budget (every lane hits MaxSteps)
-        // and a generous one (every lane reaches Terminal).
-        let max_steps = if tight == 0 { 2 } else { 300 };
+        // Alternate between a tight step budget (lanes hit MaxSteps) and
+        // a generous one (lanes reach Terminal).
+        let max_steps = if tight == 0 { 2 } else { 2_000 };
+        let mode = MODES[mode_pick];
         let k = [1, 3, 64, 100][k_pick];
         let graph = graph_for(case);
         let inits = random_inits(&graph, k, seed);
-        let lanes = run_batch(&graph, &MaxProto, &inits, max_steps);
+        let seeds = lane_seeds(k, seed);
+        let seeds_arg: &[u64] = if mode.needs_lane_seeds() { &seeds } else { &[] };
+        let lanes = run_batch(&graph, &MaxProto, mode, seeds_arg, inits.clone(), max_steps, None);
         prop_assert_eq!(lanes.len(), k);
-        for (lane, init) in lanes.iter().zip(&inits) {
-            let mut daemon = SynchronousDaemon::new();
+        for ((lane, final_config), (init, &s)) in lanes.iter().zip(inits.iter().zip(&seeds)) {
             let sim = Simulator::new(&graph, &MaxProto);
-            let scalar =
-                sim.run(init.clone(), &mut daemon, RunLimits::with_max_steps(max_steps), &mut []);
-            prop_assert_eq!(lane.steps, scalar.steps);
+            let limits = RunLimits::with_max_steps(max_steps);
+            let scalar = sim.run(init.clone(), scalar_daemon(mode, s).as_mut(), limits, &mut []);
+            prop_assert_eq!(lane.steps_run, scalar.steps);
             prop_assert_eq!(lane.moves, scalar.moves);
             prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(&lane.final_config, &scalar.final_config);
+            prop_assert_eq!(final_config, &scalar.final_config);
         }
     }
 
-    /// Measured batched runs replicate the scalar `MeasurementContext`
-    /// monitor stack (with and without early stop) lane for lane.
+    /// Measured batched runs give every lane the report of a scalar
+    /// `MeasurementContext` (with and without early stop on legitimacy)
+    /// under the matching scalar daemon.
     #[test]
     fn batch_measured_equals_scalar_measurement(
         case in 0u8..4,
         seed in 0u64..1_000,
+        mode_pick in 0usize..6,
         k_pick in 0usize..4,
         early_pick in 0u8..2,
     ) {
         let early = early_pick == 1;
+        let mode = MODES[mode_pick];
         let k = [1, 3, 64, 100][k_pick];
         let graph = graph_for(case);
         let inits = random_inits(&graph, k, seed);
-        let stop_pred = all_equal();
-        let early_stop = early.then_some((&stop_pred, 2usize));
-        let measured = run_batch_measured(
-            &graph,
-            &MaxProto,
-            inits.clone(),
-            200,
-            &zero_holds_max(),
-            &all_equal(),
-            early_stop,
-        );
+        let seeds = lane_seeds(k, seed);
+        let seeds_arg: &[u64] = if mode.needs_lane_seeds() { &seeds } else { &[] };
+        let measure = LaneMeasure {
+            safety: zero_holds_max(),
+            legitimacy: all_equal(),
+            early_stop: early.then_some(2),
+        };
+        let measured =
+            run_batch(&graph, &MaxProto, mode, seeds_arg, inits.clone(), 1_000, Some(measure));
         prop_assert_eq!(measured.len(), k);
-        for ((report, final_config), init) in measured.iter().zip(&inits) {
+        for ((report, final_config), (init, &s)) in measured.iter().zip(inits.iter().zip(&seeds)) {
             let sim = Simulator::new(&graph, &MaxProto);
             let mut ctx = MeasurementContext::new(zero_holds_max(), all_equal());
             if early {
                 ctx = ctx.with_early_stop(all_equal(), 2);
             }
-            let scalar = ctx.run(&sim, &mut SynchronousDaemon::new(), init.clone(), 200);
+            let scalar = ctx.run(&sim, scalar_daemon(mode, s).as_mut(), init.clone(), 1_000);
             assert_reports_match(report, &scalar);
-            // The measured runner also hands back the lane's final
-            // configuration. The scalar measurement context doesn't expose
-            // its final configuration, so cross-check against a plain run
-            // truncated to the measured run's step count: the synchronous
-            // daemon is deterministic, so equal step counts mean equal
-            // configurations regardless of why each run stopped.
+            // The scalar measurement context doesn't expose its final
+            // configuration, so cross-check against a plain run truncated
+            // to the measured run's step count: a fresh daemon from the
+            // same seed replays the same schedule, so equal step counts
+            // mean equal configurations regardless of why each run stopped.
             let plain = sim.run(
                 init.clone(),
-                &mut SynchronousDaemon::new(),
+                scalar_daemon(mode, s).as_mut(),
                 RunLimits::with_max_steps(report.steps_run),
                 &mut [],
             );
             prop_assert_eq!(final_config, &plain.final_config);
-        }
-    }
-
-    /// Lane-divergent batched central round-robin runs equal K independent
-    /// scalar runs under the scalar `central-rr` daemon — each lane keeps
-    /// its own cursor and commits one vertex per pass, so lanes disagree
-    /// about which vertex moves from the very first step.
-    #[test]
-    fn batch_central_rr_equals_scalar_runs(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..4,
-        tight in 0u8..2,
-    ) {
-        let max_steps = if tight == 0 { 5 } else { 2_000 };
-        let k = [1, 3, 64, 100][k_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let lanes =
-            run_batch_with(&graph, &MaxProto, BatchDaemon::CentralRr, &[], &inits, max_steps);
-        prop_assert_eq!(lanes.len(), k);
-        for (lane, init) in lanes.iter().zip(&inits) {
-            let mut daemon = CentralDaemon::new(CentralStrategy::RoundRobin);
-            let sim = Simulator::new(&graph, &MaxProto);
-            let scalar =
-                sim.run(init.clone(), &mut daemon, RunLimits::with_max_steps(max_steps), &mut []);
-            prop_assert_eq!(lane.steps, scalar.steps);
-            prop_assert_eq!(lane.moves, scalar.moves);
-            prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(&lane.final_config, &scalar.final_config);
-        }
-    }
-
-    /// Measured batched central round-robin runs replicate the scalar
-    /// `MeasurementContext` monitor stack lane for lane.
-    #[test]
-    fn batch_central_rr_measured_equals_scalar_measurement(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..4,
-        early_pick in 0u8..2,
-    ) {
-        let early = early_pick == 1;
-        let k = [1, 3, 64, 100][k_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let stop_pred = all_equal();
-        let early_stop = early.then_some((&stop_pred, 2usize));
-        let measured = run_batch_measured_with(
-            &graph,
-            &MaxProto,
-            BatchDaemon::CentralRr,
-            &[],
-            inits.clone(),
-            1_000,
-            &zero_holds_max(),
-            &all_equal(),
-            early_stop,
-        );
-        prop_assert_eq!(measured.len(), k);
-        for ((report, final_config), init) in measured.iter().zip(&inits) {
-            let sim = Simulator::new(&graph, &MaxProto);
-            let mut ctx = MeasurementContext::new(zero_holds_max(), all_equal());
-            if early {
-                ctx = ctx.with_early_stop(all_equal(), 2);
-            }
-            let scalar = ctx.run(
-                &sim,
-                &mut CentralDaemon::new(CentralStrategy::RoundRobin),
-                init.clone(),
-                1_000,
-            );
-            assert_reports_match(report, &scalar);
-            // Same truncated-replay cross-check as the synchronous case:
-            // the round-robin daemon is deterministic, so equal step
-            // counts mean equal configurations.
-            let plain = sim.run(
-                init.clone(),
-                &mut CentralDaemon::new(CentralStrategy::RoundRobin),
-                RunLimits::with_max_steps(report.steps_run),
-                &mut [],
-            );
-            prop_assert_eq!(final_config, &plain.final_config);
-        }
-    }
-
-    /// Lane-divergent batched central-rand runs equal K independent
-    /// scalar runs under the scalar seeded `CentralStrategy::Random`
-    /// daemon: lane `l` carries its own RNG stream seeded exactly like
-    /// scalar replica `l`, so the per-lane pick sequences — and with them
-    /// every step/move count and final configuration — replay draw for
-    /// draw.
-    #[test]
-    fn batch_central_rand_equals_scalar_runs(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..3,
-        tight in 0u8..2,
-    ) {
-        let max_steps = if tight == 0 { 5 } else { 2_000 };
-        let k = [1, 3, 64][k_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let seeds: Vec<u64> = (0..k as u64).map(|l| seed ^ (0x5EED * l + 7)).collect();
-        let lanes =
-            run_batch_with(&graph, &MaxProto, BatchDaemon::CentralRand, &seeds, &inits, max_steps);
-        prop_assert_eq!(lanes.len(), k);
-        for ((lane, init), &s) in lanes.iter().zip(&inits).zip(&seeds) {
-            let mut daemon = CentralDaemon::new(CentralStrategy::Random(s));
-            let sim = Simulator::new(&graph, &MaxProto);
-            let scalar =
-                sim.run(init.clone(), &mut daemon, RunLimits::with_max_steps(max_steps), &mut []);
-            prop_assert_eq!(lane.steps, scalar.steps);
-            prop_assert_eq!(lane.moves, scalar.moves);
-            prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(&lane.final_config, &scalar.final_config);
-        }
-    }
-
-    /// Lane-divergent batched random-distributed runs equal K independent
-    /// scalar runs under the scalar `RandomDistributedDaemon` with the
-    /// same per-lane seeds: each lane replays its scalar replica's
-    /// `gen_bool` coin sequence (ascending vertex order over the enabled
-    /// set) plus the uniform fallback draw on empty samples.
-    #[test]
-    fn batch_random_distributed_equals_scalar_runs(
-        case in 0u8..4,
-        seed in 0u64..1_000,
-        k_pick in 0usize..3,
-        p_pick in 0usize..3,
-        tight in 0u8..2,
-    ) {
-        let max_steps = if tight == 0 { 5 } else { 2_000 };
-        let k = [1, 3, 64][k_pick];
-        let p = [0.25, 0.5, 1.0][p_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let seeds: Vec<u64> = (0..k as u64).map(|l| seed ^ (0xD157 * l + 3)).collect();
-        let lanes = run_batch_with(
-            &graph,
-            &MaxProto,
-            BatchDaemon::RandomDistributed { p },
-            &seeds,
-            &inits,
-            max_steps,
-        );
-        prop_assert_eq!(lanes.len(), k);
-        for ((lane, init), &s) in lanes.iter().zip(&inits).zip(&seeds) {
-            let mut daemon = RandomDistributedDaemon::new(p, s);
-            let sim = Simulator::new(&graph, &MaxProto);
-            let scalar =
-                sim.run(init.clone(), &mut daemon, RunLimits::with_max_steps(max_steps), &mut []);
-            prop_assert_eq!(lane.steps, scalar.steps);
-            prop_assert_eq!(lane.moves, scalar.moves);
-            prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(&lane.final_config, &scalar.final_config);
         }
     }
 
@@ -412,30 +286,25 @@ proptest! {
     fn incremental_bitset_matches_dense_sweep(
         case in 0u8..4,
         seed in 0u64..1_000,
-        mode_pick in 0usize..3,
+        mode_pick in 1usize..6,
         k_pick in 0usize..3,
     ) {
         let k = [1, 3, 64][k_pick];
-        let mode = [
-            BatchDaemon::CentralRr,
-            BatchDaemon::CentralRand,
-            BatchDaemon::RandomDistributed { p: 0.5 },
-        ][mode_pick];
+        let mode = MODES[mode_pick];
         let graph = graph_for(case);
         let inits = random_inits(&graph, k, seed);
-        let seeds: Vec<u64> = if mode.needs_lane_seeds() {
-            (0..k as u64).map(|l| seed ^ (0xB175 * l + 5)).collect()
-        } else {
-            Vec::new()
-        };
-        let incremental = run_batch_with(&graph, &MaxProto, mode, &seeds, &inits, 1_000);
-        let dense = run_batch_with_dense_sweep(&graph, &MaxProto, mode, &seeds, &inits, 1_000);
+        let seeds = lane_seeds(k, seed);
+        let seeds_arg: &[u64] = if mode.needs_lane_seeds() { &seeds } else { &[] };
+        let incremental =
+            run_batch(&graph, &MaxProto, mode, seeds_arg, inits.clone(), 1_000, None);
+        let dense =
+            run_batch_with_dense_sweep(&graph, &MaxProto, mode, seeds_arg, inits, 1_000, None);
         prop_assert_eq!(incremental.len(), dense.len());
-        for (a, b) in incremental.iter().zip(&dense) {
-            prop_assert_eq!(a.steps, b.steps);
+        for ((a, config_a), (b, config_b)) in incremental.iter().zip(&dense) {
+            prop_assert_eq!(a.steps_run, b.steps_run);
             prop_assert_eq!(a.moves, b.moves);
             prop_assert_eq!(a.stop, b.stop);
-            prop_assert_eq!(&a.final_config, &b.final_config);
+            prop_assert_eq!(config_a, config_b);
         }
     }
 }

@@ -451,7 +451,7 @@ mod tests {
 
     #[test]
     fn packed_runs_match_scalar_lane_for_lane_under_both_daemons() {
-        use specstab_kernel::batch::{run_batch_with, BatchDaemon};
+        use specstab_kernel::batch::{run_batch, BatchDaemon};
         use specstab_kernel::daemon::SynchronousDaemon;
         use specstab_kernel::engine::RunLimits;
         let (g, p) = ring(8);
@@ -462,8 +462,8 @@ mod tests {
             })
             .collect();
         for daemon in [BatchDaemon::Sync, BatchDaemon::CentralRr] {
-            let lanes = run_batch_with(&g, &p, daemon, &[], &inits, 400);
-            for (lane, init) in lanes.iter().zip(&inits) {
+            let lanes = run_batch(&g, &p, daemon, &[], inits.clone(), 400, None);
+            for ((lane, final_config), init) in lanes.iter().zip(&inits) {
                 let sim = Simulator::new(&g, &p);
                 let limits = RunLimits::with_max_steps(400);
                 let scalar = if daemon == BatchDaemon::Sync {
@@ -473,10 +473,10 @@ mod tests {
                     let mut d = CentralDaemon::new(CentralStrategy::RoundRobin);
                     sim.run(init.clone(), &mut d, limits, &mut [])
                 };
-                assert_eq!(lane.steps, scalar.steps);
+                assert_eq!(lane.steps_run, scalar.steps);
                 assert_eq!(lane.moves, scalar.moves);
                 assert_eq!(lane.stop, scalar.stop);
-                assert_eq!(lane.final_config, scalar.final_config);
+                assert_eq!(final_config, &scalar.final_config);
             }
         }
     }

@@ -22,10 +22,12 @@ use specstab_core::bounds;
 use specstab_core::spec_me::SpecMe;
 use specstab_core::speculation::ssme_disorder_metric;
 use specstab_core::ssme::{IdAssignment, Ssme};
-use specstab_kernel::batch::{run_batch_measured_with, BatchDaemon};
+use specstab_kernel::batch::{run_batch, BatchDaemon, LaneMeasure, PackedProtocol};
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::{parse_daemon_spec, AdversaryMoves, BoxedDaemon, GreedyAdversary};
-use specstab_kernel::harness::{BoundMetric, HarnessError, ProtocolHarness, TheoremBound};
+use specstab_kernel::harness::{
+    BoundMetric, HarnessError, HarnessState, ProtocolHarness, TheoremBound,
+};
 use specstab_kernel::measure::StabilizationReport;
 use specstab_kernel::observer::ConfigPredicate;
 use specstab_kernel::spec::Specification;
@@ -49,6 +51,30 @@ where
 {
     let spec = spec.clone();
     Box::new(move |c, g| spec.is_legitimate(c, g))
+}
+
+/// The shared [`ProtocolHarness::batched_measure`] body of the packed
+/// harnesses: one batched run of the harness's protocol, measured with
+/// its own safety and legitimacy predicates.
+fn batched<H>(
+    harness: &H,
+    graph: &Graph,
+    daemon: BatchDaemon,
+    lane_seeds: &[u64],
+    inits: Vec<Configuration<HarnessState<H>>>,
+    max_steps: usize,
+    early_stop_margin: usize,
+) -> Vec<(StabilizationReport, Configuration<HarnessState<H>>)>
+where
+    H: ProtocolHarness,
+    H::Protocol: PackedProtocol,
+{
+    let measure = LaneMeasure {
+        safety: harness.safety_predicate(),
+        legitimacy: harness.legitimacy_predicate(),
+        early_stop: Some(early_stop_margin),
+    };
+    run_batch(graph, harness.protocol(), daemon, lane_seeds, inits, max_steps, Some(measure))
 }
 
 /// SSME (Algorithm 1) under `specME` — the paper's speculatively
@@ -170,18 +196,7 @@ impl ProtocolHarness for SsmeHarness {
         max_steps: usize,
         early_stop_margin: usize,
     ) -> Option<Vec<(StabilizationReport, Configuration<ClockValue>)>> {
-        let stop = self.legitimacy_predicate();
-        Some(run_batch_measured_with(
-            graph,
-            &self.ssme,
-            daemon,
-            lane_seeds,
-            inits,
-            max_steps,
-            &self.safety_predicate(),
-            &self.legitimacy_predicate(),
-            Some((&stop, early_stop_margin)),
-        ))
+        Some(batched(self, graph, daemon, lane_seeds, inits, max_steps, early_stop_margin))
     }
 }
 
@@ -268,18 +283,7 @@ impl ProtocolHarness for DijkstraHarness {
         if !self.supports_batch() {
             return None;
         }
-        let stop = self.legitimacy_predicate();
-        Some(run_batch_measured_with(
-            graph,
-            &self.proto,
-            daemon,
-            lane_seeds,
-            inits,
-            max_steps,
-            &self.safety_predicate(),
-            &self.legitimacy_predicate(),
-            Some((&stop, early_stop_margin)),
-        ))
+        Some(batched(self, graph, daemon, lane_seeds, inits, max_steps, early_stop_margin))
     }
 }
 
@@ -346,18 +350,7 @@ impl ProtocolHarness for Dijkstra3Harness {
         max_steps: usize,
         early_stop_margin: usize,
     ) -> Option<Vec<(StabilizationReport, Configuration<u8>)>> {
-        let stop = self.legitimacy_predicate();
-        Some(run_batch_measured_with(
-            graph,
-            &self.proto,
-            daemon,
-            lane_seeds,
-            inits,
-            max_steps,
-            &self.safety_predicate(),
-            &self.legitimacy_predicate(),
-            Some((&stop, early_stop_margin)),
-        ))
+        Some(batched(self, graph, daemon, lane_seeds, inits, max_steps, early_stop_margin))
     }
 }
 
@@ -426,18 +419,7 @@ impl ProtocolHarness for Dijkstra4Harness {
         max_steps: usize,
         early_stop_margin: usize,
     ) -> Option<Vec<(StabilizationReport, Configuration<FourState>)>> {
-        let stop = self.legitimacy_predicate();
-        Some(run_batch_measured_with(
-            graph,
-            &self.proto,
-            daemon,
-            lane_seeds,
-            inits,
-            max_steps,
-            &self.safety_predicate(),
-            &self.legitimacy_predicate(),
-            Some((&stop, early_stop_margin)),
-        ))
+        Some(batched(self, graph, daemon, lane_seeds, inits, max_steps, early_stop_margin))
     }
 }
 

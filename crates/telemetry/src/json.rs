@@ -404,10 +404,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         let hex = bytes
                             .get(*pos + 1..*pos + 5)
                             .ok_or_else(|| format!("truncated \\u escape at byte {}", *pos))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
+                        let code = hex
+                            .iter()
+                            .try_fold(0u32, |acc, &b| {
+                                char::from(b).to_digit(16).map(|d| acc * 16 + d)
+                            })
+                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
                         out.push(
                             char::from_u32(code)
                                 .ok_or_else(|| format!("bad \\u codepoint at byte {}", *pos))?,
@@ -419,12 +421,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run of plain bytes up to the next quote or
+                // backslash at once. Both are ASCII, so the run ends on a
+                // char boundary of the (valid UTF-8) input, and decoding
+                // stays linear in the string's length.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |i| *pos + i);
+                out.push_str(std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -462,6 +468,32 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn string_decoding_round_trips_utf8_and_every_escape() {
+        let long = "ü✓ 𝄞 \"plain\\ text\n".repeat(20_000);
+        for s in ["", "plain", "ünïcødé ✓ 𝄞 日本語", "a\"b\\c/d\ne\rf\tg", "\u{1}\u{1f}", &long]
+        {
+            let j = Json::Str(s.to_string());
+            assert_eq!(Json::parse(&j.render()), Ok(j.clone()));
+            assert_eq!(Json::parse(&j.render_compact()), Ok(j));
+        }
+        // Every escape form the reader accepts, written by hand.
+        let parsed = Json::parse(r#""\"\\\/\n\r\t\u0041\u00e9\u65E5é""#);
+        assert_eq!(parsed, Ok(Json::Str("\"\\/\n\r\tAé日é".into())));
+        for bad in [
+            r#""abc"#,
+            r#""abc\"#,
+            r#""\"#,
+            r#""\u12"#,
+            r#""\u12G4""#,
+            r#""\u+041""#,
+            r#""\x""#,
+            r#""\uD800""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad} must not parse");
+        }
+    }
 
     #[test]
     fn json_escaping_and_shapes() {

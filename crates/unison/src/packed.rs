@@ -148,7 +148,7 @@ mod tests {
     use crate::clock::CherryClock;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use specstab_kernel::batch::run_batch;
+    use specstab_kernel::batch::{run_batch, BatchDaemon};
     use specstab_kernel::daemon::SynchronousDaemon;
     use specstab_kernel::engine::{RunLimits, Simulator};
     use specstab_kernel::protocol::random_configuration;
@@ -165,15 +165,15 @@ mod tests {
                 random_configuration(&g, &unison, &mut rng)
             })
             .collect();
-        let lanes = run_batch(&g, &unison, &inits, 300);
-        for (lane, init) in lanes.iter().zip(&inits) {
+        let lanes = run_batch(&g, &unison, BatchDaemon::Sync, &[], inits.clone(), 300, None);
+        for ((lane, final_config), init) in lanes.iter().zip(&inits) {
             let mut d = SynchronousDaemon::new();
             let sim = Simulator::new(&g, &unison);
             let scalar = sim.run(init.clone(), &mut d, RunLimits::with_max_steps(300), &mut []);
-            assert_eq!(lane.steps, scalar.steps);
+            assert_eq!(lane.steps_run, scalar.steps);
             assert_eq!(lane.moves, scalar.moves);
             assert_eq!(lane.stop, scalar.stop);
-            assert_eq!(lane.final_config, scalar.final_config);
+            assert_eq!(final_config, &scalar.final_config);
         }
     }
 }

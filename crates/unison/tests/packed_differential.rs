@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specstab_kernel::batch::{run_batch, run_batch_measured};
+use specstab_kernel::batch::{run_batch, BatchDaemon, LaneMeasure};
 use specstab_kernel::config::Configuration;
 use specstab_kernel::daemon::SynchronousDaemon;
 use specstab_kernel::engine::{RunLimits, Simulator};
@@ -69,16 +69,16 @@ proptest! {
         let clock = CherryClock::new(alpha, alpha + k_extra).unwrap();
         let unison = AsyncUnison::new(clock);
         let inits = random_inits(&graph, &unison, k_lanes, seed);
-        let lanes = run_batch(&graph, &unison, &inits, 400);
-        for (lane, init) in lanes.iter().zip(&inits) {
+        let lanes = run_batch(&graph, &unison, BatchDaemon::Sync, &[], inits.clone(), 400, None);
+        for ((lane, final_config), init) in lanes.iter().zip(&inits) {
             let mut daemon = SynchronousDaemon::new();
             let sim = Simulator::new(&graph, &unison);
             let scalar =
                 sim.run(init.clone(), &mut daemon, RunLimits::with_max_steps(400), &mut []);
-            prop_assert_eq!(lane.steps, scalar.steps);
+            prop_assert_eq!(lane.steps_run, scalar.steps);
             prop_assert_eq!(lane.moves, scalar.moves);
             prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(&lane.final_config, &scalar.final_config);
+            prop_assert_eq!(final_config, &scalar.final_config);
         }
     }
 
@@ -99,15 +99,19 @@ proptest! {
         let unison = AsyncUnison::new(clock);
         let spec = SpecAu::new(clock);
         let inits = random_inits(&graph, &unison, k_lanes, seed);
-        let stop_pred = legitimacy_of(spec);
-        let measured = run_batch_measured(
+        let measure = LaneMeasure {
+            safety: safety_of(spec),
+            legitimacy: legitimacy_of(spec),
+            early_stop: Some(3),
+        };
+        let measured = run_batch(
             &graph,
             &unison,
+            BatchDaemon::Sync,
+            &[],
             inits.clone(),
             400,
-            &safety_of(spec),
-            &legitimacy_of(spec),
-            Some((&stop_pred, 3)),
+            Some(measure),
         );
         for ((report, _), init) in measured.iter().zip(&inits) {
             let sim = Simulator::new(&graph, &unison);
