@@ -192,6 +192,66 @@ fn assert_reports_match(lane: &StabilizationReport, scalar: &StabilizationReport
     assert_eq!(lane.ended_legitimate, scalar.ended_legitimate);
 }
 
+/// Runs `k` lanes of `mode` on graph `case` with a plain (unmeasured)
+/// batch and checks each lane against an independent scalar engine run
+/// under the matching scalar daemon.
+fn check_batch_equals_scalar(case: u8, seed: u64, mode: BatchDaemon, k: usize, max_steps: usize) {
+    let graph = graph_for(case);
+    let inits = random_inits(&graph, k, seed);
+    let seeds = lane_seeds(k, seed);
+    let seeds_arg: &[u64] = if mode.needs_lane_seeds() { &seeds } else { &[] };
+    let lanes = run_batch(&graph, &MaxProto, mode, seeds_arg, inits.clone(), max_steps, None);
+    prop_assert_eq!(lanes.len(), k);
+    for ((lane, final_config), (init, &s)) in lanes.iter().zip(inits.iter().zip(&seeds)) {
+        let sim = Simulator::new(&graph, &MaxProto);
+        let limits = RunLimits::with_max_steps(max_steps);
+        let scalar = sim.run(init.clone(), scalar_daemon(mode, s).as_mut(), limits, &mut []);
+        prop_assert_eq!(lane.steps_run, scalar.steps);
+        prop_assert_eq!(lane.moves, scalar.moves);
+        prop_assert_eq!(lane.stop, scalar.stop);
+        prop_assert_eq!(final_config, &scalar.final_config);
+    }
+}
+
+/// Runs `k` measured lanes of `mode` on graph `case` (early stop on
+/// legitimacy when `early`) and checks each lane's report against a
+/// scalar `MeasurementContext` under the matching scalar daemon.
+fn check_measured_equals_scalar(case: u8, seed: u64, mode: BatchDaemon, k: usize, early: bool) {
+    let graph = graph_for(case);
+    let inits = random_inits(&graph, k, seed);
+    let seeds = lane_seeds(k, seed);
+    let seeds_arg: &[u64] = if mode.needs_lane_seeds() { &seeds } else { &[] };
+    let measure = LaneMeasure {
+        safety: zero_holds_max(),
+        legitimacy: all_equal(),
+        early_stop: early.then_some(2),
+    };
+    let measured =
+        run_batch(&graph, &MaxProto, mode, seeds_arg, inits.clone(), 1_000, Some(measure));
+    prop_assert_eq!(measured.len(), k);
+    for ((report, final_config), (init, &s)) in measured.iter().zip(inits.iter().zip(&seeds)) {
+        let sim = Simulator::new(&graph, &MaxProto);
+        let mut ctx = MeasurementContext::new(zero_holds_max(), all_equal());
+        if early {
+            ctx = ctx.with_early_stop(all_equal(), 2);
+        }
+        let scalar = ctx.run(&sim, scalar_daemon(mode, s).as_mut(), init.clone(), 1_000);
+        assert_reports_match(report, &scalar);
+        // The scalar measurement context doesn't expose its final
+        // configuration, so cross-check against a plain run truncated
+        // to the measured run's step count: a fresh daemon from the
+        // same seed replays the same schedule, so equal step counts
+        // mean equal configurations regardless of why each run stopped.
+        let plain = sim.run(
+            init.clone(),
+            scalar_daemon(mode, s).as_mut(),
+            RunLimits::with_max_steps(report.steps_run),
+            &mut [],
+        );
+        prop_assert_eq!(final_config, &plain.final_config);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -209,23 +269,8 @@ proptest! {
         // Alternate between a tight step budget (lanes hit MaxSteps) and
         // a generous one (lanes reach Terminal).
         let max_steps = if tight == 0 { 2 } else { 2_000 };
-        let mode = MODES[mode_pick];
         let k = [1, 3, 64, 100][k_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let seeds = lane_seeds(k, seed);
-        let seeds_arg: &[u64] = if mode.needs_lane_seeds() { &seeds } else { &[] };
-        let lanes = run_batch(&graph, &MaxProto, mode, seeds_arg, inits.clone(), max_steps, None);
-        prop_assert_eq!(lanes.len(), k);
-        for ((lane, final_config), (init, &s)) in lanes.iter().zip(inits.iter().zip(&seeds)) {
-            let sim = Simulator::new(&graph, &MaxProto);
-            let limits = RunLimits::with_max_steps(max_steps);
-            let scalar = sim.run(init.clone(), scalar_daemon(mode, s).as_mut(), limits, &mut []);
-            prop_assert_eq!(lane.steps_run, scalar.steps);
-            prop_assert_eq!(lane.moves, scalar.moves);
-            prop_assert_eq!(lane.stop, scalar.stop);
-            prop_assert_eq!(final_config, &scalar.final_config);
-        }
+        check_batch_equals_scalar(case, seed, MODES[mode_pick], k, max_steps);
     }
 
     /// Measured batched runs give every lane the report of a scalar
@@ -239,43 +284,79 @@ proptest! {
         k_pick in 0usize..4,
         early_pick in 0u8..2,
     ) {
-        let early = early_pick == 1;
-        let mode = MODES[mode_pick];
         let k = [1, 3, 64, 100][k_pick];
-        let graph = graph_for(case);
-        let inits = random_inits(&graph, k, seed);
-        let seeds = lane_seeds(k, seed);
-        let seeds_arg: &[u64] = if mode.needs_lane_seeds() { &seeds } else { &[] };
-        let measure = LaneMeasure {
-            safety: zero_holds_max(),
-            legitimacy: all_equal(),
-            early_stop: early.then_some(2),
-        };
-        let measured =
-            run_batch(&graph, &MaxProto, mode, seeds_arg, inits.clone(), 1_000, Some(measure));
-        prop_assert_eq!(measured.len(), k);
-        for ((report, final_config), (init, &s)) in measured.iter().zip(inits.iter().zip(&seeds)) {
-            let sim = Simulator::new(&graph, &MaxProto);
-            let mut ctx = MeasurementContext::new(zero_holds_max(), all_equal());
-            if early {
-                ctx = ctx.with_early_stop(all_equal(), 2);
-            }
-            let scalar = ctx.run(&sim, scalar_daemon(mode, s).as_mut(), init.clone(), 1_000);
-            assert_reports_match(report, &scalar);
-            // The scalar measurement context doesn't expose its final
-            // configuration, so cross-check against a plain run truncated
-            // to the measured run's step count: a fresh daemon from the
-            // same seed replays the same schedule, so equal step counts
-            // mean equal configurations regardless of why each run stopped.
-            let plain = sim.run(
-                init.clone(),
-                scalar_daemon(mode, s).as_mut(),
-                RunLimits::with_max_steps(report.steps_run),
-                &mut [],
-            );
-            prop_assert_eq!(final_config, &plain.final_config);
-        }
+        check_measured_equals_scalar(case, seed, MODES[mode_pick], k, early_pick == 1);
     }
+}
+
+// Per-daemon properties: each pins one divergent mode with its own case
+// budget, so a regression in one lane engine shows up under its own name
+// and is not diluted across the mixed-mode sweep above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Central round-robin lanes each keep their own cursor and commit
+    /// one vertex per pass, replaying the scalar `central-rr` daemon.
+    #[test]
+    fn batch_central_rr_equals_scalar_runs(
+        case in 0u8..4,
+        seed in 0u64..1_000,
+        k_pick in 0usize..4,
+        tight in 0u8..2,
+    ) {
+        let max_steps = if tight == 0 { 5 } else { 2_000 };
+        let k = [1, 3, 64, 100][k_pick];
+        check_batch_equals_scalar(case, seed, BatchDaemon::CentralRr, k, max_steps);
+    }
+
+    /// Measured central round-robin lanes replicate the scalar
+    /// `MeasurementContext` report lane for lane.
+    #[test]
+    fn batch_central_rr_measured_equals_scalar_measurement(
+        case in 0u8..4,
+        seed in 0u64..1_000,
+        k_pick in 0usize..4,
+        early_pick in 0u8..2,
+    ) {
+        let k = [1, 3, 64, 100][k_pick];
+        check_measured_equals_scalar(case, seed, BatchDaemon::CentralRr, k, early_pick == 1);
+    }
+
+    /// Central-rand lane `l` carries its own RNG stream seeded exactly
+    /// like scalar replica `l`, so its pick sequence replays the scalar
+    /// seeded `CentralStrategy::Random` daemon draw for draw.
+    #[test]
+    fn batch_central_rand_equals_scalar_runs(
+        case in 0u8..4,
+        seed in 0u64..1_000,
+        k_pick in 0usize..3,
+        tight in 0u8..2,
+    ) {
+        let max_steps = if tight == 0 { 5 } else { 2_000 };
+        let k = [1, 3, 64][k_pick];
+        check_batch_equals_scalar(case, seed, BatchDaemon::CentralRand, k, max_steps);
+    }
+
+    /// Random-distributed lanes replay their scalar replica's `gen_bool`
+    /// coin sequence (ascending vertex order over the enabled set) plus
+    /// the uniform fallback draw on empty samples.
+    #[test]
+    fn batch_random_distributed_equals_scalar_runs(
+        case in 0u8..4,
+        seed in 0u64..1_000,
+        k_pick in 0usize..3,
+        p_pick in 0usize..3,
+        tight in 0u8..2,
+    ) {
+        let max_steps = if tight == 0 { 5 } else { 2_000 };
+        let k = [1, 3, 64][k_pick];
+        let mode = BatchDaemon::RandomDistributed { p: [0.25, 0.5, 1.0][p_pick] };
+        check_batch_equals_scalar(case, seed, mode, k, max_steps);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The transposed incremental enabled-bitset maintains exactly the
     /// enabled set a dense full guard sweep recomputes from scratch:
