@@ -17,12 +17,13 @@
 //! campaign shard --plan plan.json --shard 2 --out shard-2.partial.json
 //! campaign merge --json out.json shard-*.partial.json
 //!
-//! # Same pipeline, orchestrated locally over 3 worker processes:
-//! campaign run --workers 3 --seeds 12 --json out.json
-//!
 //! # Campaign as a service: lease shards to elastic pull-workers over HTTP
 //! campaign serve --plan plan.json --listen 0.0.0.0:7177 --spool spool/ --json out.json
 //! campaign work  --coordinator http://coordinator:7177     # on any machine, any count
+//!
+//! # The same service on one machine: a loopback coordinator plus 3
+//! # `campaign work` processes (--threads sets threads per worker):
+//! campaign run --workers 3 --seeds 12 --json out.json
 //! ```
 //!
 //! Protocols are registry names (see `--list-protocols`); combinations a
@@ -40,14 +41,15 @@ use specstab_campaign::merge::merge_partials;
 use specstab_campaign::plan::{group_boundaries, CampaignPlan};
 use specstab_campaign::report::speculation_profile_table;
 use specstab_campaign::serve::{run_worker, Coordinator, ServeOptions, WorkOptions};
-use specstab_campaign::shard::{execute_shard, run_plan_subprocess, shard_trace_path, PoolOptions};
-use specstab_campaign::trace::{emit_result_events, sum_shard_counters};
+use specstab_campaign::shard::execute_shard;
+use specstab_campaign::trace::emit_result_events;
 use specstab_protocols::registry;
 use specstab_telemetry::{
-    global, merge_streams, metrics_from_events, parse_ndjson, EventKind, Heartbeat, TraceWriter,
+    global, metrics_from_events, parse_ndjson, EventKind, Heartbeat, TraceWriter,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 
 fn usage() -> ! {
     eprintln!(
@@ -69,12 +71,13 @@ fn usage() -> ! {
          campaign work  --coordinator <http://host:port> [--worker-id <id>] [--threads <n>] \
          [--batch on|off] [--lease-only]\n\
          \n\
-         run --workers N executes the plan/shard/merge pipeline over N local worker\n\
-         processes (--threads then sets threads PER WORKER, default 1); artifacts are\n\
-         byte-identical to the in-process run (--workers 0).\n\
+         run --workers N serves the plan from a loopback coordinator (as campaign serve)\n\
+         to N local campaign work processes (--threads then sets threads PER WORKER,\n\
+         default 1); artifacts are byte-identical to the in-process run (--workers 0).\n\
+         A worker that dies fails the run.\n\
          \n\
          --batch toggles the lane-packed batched group engine (default on; forwarded to\n\
-         run's worker subprocesses). Sync, central-rr, central-rand and dist:<p> groups\n\
+         run's worker processes). Sync, central-rr, central-rand and dist:<p> groups\n\
          of packed protocols route through it (the central modes up to the protocol's\n\
          measured crossover: n = 128 on the byte-lane rings, n = 32 on ssme); the\n\
          random daemons step per-lane RNG streams that replay the scalar seeds exactly.\n\
@@ -88,8 +91,8 @@ fn usage() -> ! {
          specstab-metrics/v1 snapshot. The final artifact is byte-identical to a\n\
          single-process run of the same plan.\n\
          \n\
-         --trace writes a specstab-events/v1 NDJSON event stream (with --workers N the\n\
-         per-shard worker streams are merged deterministically into it); --metrics\n\
+         --trace writes a specstab-events/v1 NDJSON event stream (with --workers N it is\n\
+         the coordinator's stream of leases, acceptances and merge); --metrics\n\
          distills the stream into a specstab-metrics/v1 runtime sidecar. Both are pure\n\
          observability: JSON/CSV artifacts stay byte-identical with tracing on.\n\
          \n\
@@ -288,23 +291,28 @@ fn trace_emit(trace: &mut Option<TraceWriter>, kind: EventKind) {
     }
 }
 
-/// Flushes the trace and, when `--metrics` was also given, reads the
-/// finished stream back through the strict parser and writes the
-/// `specstab-metrics/v1` sidecar next to it.
+/// Flushes the trace and, when `--metrics` was also given, writes the
+/// metrics sidecar next to it.
 fn finish_trace(trace: Option<TraceWriter>, trace_path: Option<&str>, metrics: Option<&str>) {
     let Some(w) = trace else { return };
     w.finish().unwrap_or_else(|e| fail(&e));
     let path = trace_path.expect("trace writer implies a trace path");
     eprintln!("campaign: event stream -> {path}");
     if let Some(out) = metrics {
-        let text =
-            std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("reading {path}: {e}")));
-        let events = parse_ndjson(&text).unwrap_or_else(|e| fail(&format!("parsing {path}: {e}")));
-        if let Err(e) = std::fs::write(out, metrics_from_events(&events).render()) {
-            fail(&format!("writing {out}: {e}"));
-        }
-        eprintln!("campaign: metrics sidecar -> {out}");
+        write_metrics(path, out);
     }
+}
+
+/// Reads a finished trace back through the strict parser and writes the
+/// `specstab-metrics/v1` sidecar distilled from it.
+fn write_metrics(trace: &str, out: &str) {
+    let text =
+        std::fs::read_to_string(trace).unwrap_or_else(|e| fail(&format!("reading {trace}: {e}")));
+    let events = parse_ndjson(&text).unwrap_or_else(|e| fail(&format!("parsing {trace}: {e}")));
+    if let Err(e) = std::fs::write(out, metrics_from_events(&events).render()) {
+        fail(&format!("writing {out}: {e}"));
+    }
+    eprintln!("campaign: metrics sidecar -> {out}");
 }
 
 /// Upfront compatibility filter: parses each topology once and asks the
@@ -432,8 +440,30 @@ fn emit_result(result: &CampaignResult, json: Option<&str>, csv: Option<&str>, c
     std::process::exit(0);
 }
 
-/// `campaign [run]`: the default sweep — in-process, or orchestrated over
-/// `--workers N` local shard subprocesses (byte-identical either way).
+/// The shared tail of `campaign serve` and `run --workers`: the metrics
+/// sidecar read back from the coordinator's finished trace, then
+/// [`emit_result`]. A coordinator stopped by fault injection exits 3.
+fn emit_coordinated(
+    outcome: Option<CampaignResult>,
+    trace: Option<&str>,
+    metrics: Option<&str>,
+    json: Option<&str>,
+    csv: Option<&str>,
+    cells: bool,
+) -> ! {
+    let Some(result) = outcome else {
+        eprintln!("campaign: serve stopped before completion (fault injection)");
+        std::process::exit(3);
+    };
+    if let (Some(trace), Some(out)) = (trace, metrics) {
+        write_metrics(trace, out);
+    }
+    emit_result(&result, json, csv, cells);
+}
+
+/// `campaign [run]`: the default sweep — in-process, or over `--workers N`
+/// local `campaign work` processes pulling from a loopback coordinator
+/// (byte-identical either way).
 fn cmd_run(argv: &[String]) -> ! {
     let args = parse_args(argv);
     set_batching_enabled(args.batch);
@@ -442,144 +472,136 @@ fn cmd_run(argv: &[String]) -> ! {
     }
     let matrix = build_matrix(&args);
     let config = config_of(&args);
-    let group_count = group_boundaries(matrix.cells()).len().saturating_sub(1) as u64;
+    if args.workers > 0 {
+        run_on_loopback(&args, &matrix, &config);
+    }
     let mut trace = open_trace(args.trace.as_deref(), None, "run");
     trace_emit(
         &mut trace,
         EventKind::CampaignStart {
             cells: matrix.len() as u64,
-            groups: group_count,
+            groups: group_boundaries(matrix.cells()).len().saturating_sub(1) as u64,
             seed: config.seed,
             max_steps: config.max_steps as u64,
         },
     );
-    if args.workers == 0 {
-        let before = global().snapshot();
-        let heartbeat = Heartbeat::new(matrix.len() as u64);
-        let result = run_campaign_with_progress(&matrix, &config, Some(&heartbeat));
-        heartbeat.finish();
-        let counters = global().snapshot().delta(&before);
-        eprintln!(
-            "campaign: done in {:?} on {} threads ({:.0} cells/s)",
-            result.wall,
-            result.threads_used,
-            result.cells.len() as f64 / result.wall.as_secs_f64().max(1e-9),
-        );
-        if let Some(w) = trace.as_mut() {
-            emit_result_events(w, &result.cells, &result.groups).unwrap_or_else(|e| fail(&e));
-        }
-        trace_emit(
-            &mut trace,
-            EventKind::CampaignEnd {
-                cells: result.cells.len() as u64,
-                errors: result.total_errors(),
-                violations: result.total_violations(),
-                wall_us: u64::try_from(result.wall.as_micros()).unwrap_or(u64::MAX),
-                counters,
-            },
-        );
-        finish_trace(trace, args.trace.as_deref(), args.metrics.as_deref());
-        emit_result(&result, args.json.as_deref(), args.csv.as_deref(), args.cells_in_json);
-    }
-    // Subprocess backend: plan into ~4 group-aligned shards per worker
-    // (over-decomposition keeps stragglers from idling the pool; any
-    // group-aligned split merges to the same bytes).
-    let shard_count =
-        if args.shards > 0 { args.shards } else { args.workers.saturating_mul(4).max(1) };
-    let plan = CampaignPlan::new(&matrix, &config, shard_count);
-    let exe =
-        std::env::current_exe().unwrap_or_else(|e| fail(&format!("locating campaign binary: {e}")));
-    let work_dir = std::env::temp_dir().join(format!("specstab-campaign-{}", std::process::id()));
-    if let Err(e) = std::fs::create_dir_all(&work_dir) {
-        fail(&format!("creating {}: {e}", work_dir.display()));
-    }
-    let plan_path = work_dir.join("plan.json");
-    if let Err(e) = std::fs::write(&plan_path, plan.to_json()) {
-        fail(&format!("writing {}: {e}", plan_path.display()));
-    }
-    let started = std::time::Instant::now();
-    eprintln!(
-        "campaign: {} shards over {} worker processes (plan {})",
-        plan.shards.len(),
-        args.workers,
-        plan_path.display()
-    );
-    trace_emit(
-        &mut trace,
-        EventKind::Plan { cells: plan.cells.len() as u64, shards: plan.shards.len() as u64 },
-    );
-    // --threads here means threads *per worker process* (default 1: the
-    // worker pool already fills the machine). The work dir is removed on
-    // the failure paths too — partial artifacts of a failed run would
-    // otherwise pile up in the temp dir.
-    let heartbeat = Heartbeat::new(plan.cells.len() as u64);
-    let partials = run_plan_subprocess(
-        &exe,
-        &plan,
-        &plan_path,
-        &work_dir,
-        PoolOptions {
-            workers: args.workers,
-            threads_per_worker: args.threads.max(1),
-            trace_dir: trace.as_ref().map(|_| work_dir.as_path()),
-            progress: Some(&heartbeat),
-            batch_off: !args.batch,
-        },
-    );
+    let before = global().snapshot();
+    let heartbeat = Heartbeat::new(matrix.len() as u64);
+    let result = run_campaign_with_progress(&matrix, &config, Some(&heartbeat));
     heartbeat.finish();
-    // Splice the worker streams into the orchestrator trace — read back
-    // while the work dir still exists, interleaved deterministically by
-    // (shard, seq) regardless of worker completion order.
-    let mut shard_counters = specstab_telemetry::CounterSnapshot::default();
-    if let (Some(w), Ok(_)) = (trace.as_mut(), &partials) {
-        let streams: Vec<_> = plan
-            .shards
-            .iter()
-            .map(|s| {
-                let p = shard_trace_path(&work_dir, s.id);
-                let text = std::fs::read_to_string(&p)
-                    .unwrap_or_else(|e| fail(&format!("reading {}: {e}", p.display())));
-                parse_ndjson(&text)
-                    .unwrap_or_else(|e| fail(&format!("parsing {}: {e}", p.display())))
-            })
-            .collect();
-        let merged = merge_streams(streams);
-        shard_counters = sum_shard_counters(&merged);
-        for event in &merged {
-            w.emit_raw(event).unwrap_or_else(|e| fail(&e));
-        }
-    }
-    let outcome = partials.and_then(|ps| {
-        trace_emit(&mut trace, EventKind::MergeStart { partials: ps.len() as u64 });
-        merge_partials(ps)
-    });
-    let _ = std::fs::remove_dir_all(&work_dir);
-    let result = outcome.unwrap_or_else(|e| fail(&e));
-    trace_emit(
-        &mut trace,
-        EventKind::MergeEnd {
-            cells: result.cells.len() as u64,
-            groups: result.groups.len() as u64,
-        },
+    let counters = global().snapshot().delta(&before);
+    eprintln!(
+        "campaign: done in {:?} on {} threads ({:.0} cells/s)",
+        result.wall,
+        result.threads_used,
+        result.cells.len() as f64 / result.wall.as_secs_f64().max(1e-9),
     );
+    if let Some(w) = trace.as_mut() {
+        emit_result_events(w, &result.cells, &result.groups).unwrap_or_else(|e| fail(&e));
+    }
     trace_emit(
         &mut trace,
         EventKind::CampaignEnd {
             cells: result.cells.len() as u64,
             errors: result.total_errors(),
             violations: result.total_violations(),
-            wall_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            counters: shard_counters,
+            wall_us: u64::try_from(result.wall.as_micros()).unwrap_or(u64::MAX),
+            counters,
         },
     );
     finish_trace(trace, args.trace.as_deref(), args.metrics.as_deref());
-    eprintln!(
-        "campaign: done in {:?} on {} workers ({:.0} cells/s)",
-        started.elapsed(),
-        args.workers,
-        result.cells.len() as f64 / started.elapsed().as_secs_f64().max(1e-9),
-    );
     emit_result(&result, args.json.as_deref(), args.csv.as_deref(), args.cells_in_json);
+}
+
+/// `run --workers N`: serves the plan from a loopback coordinator to N
+/// local `campaign work` processes, then ends through the same tail as
+/// `campaign serve`. Whatever happens, the workers are reaped and the
+/// temp work dir (the coordinator's spool) is removed before exiting.
+fn run_on_loopback(args: &Args, matrix: &ScenarioMatrix, config: &CampaignConfig) -> ! {
+    // ~4 group-aligned shards per worker: over-decomposition keeps
+    // stragglers from idling the others, and any group-aligned split
+    // merges to the same bytes.
+    let shard_count =
+        if args.shards > 0 { args.shards } else { args.workers.saturating_mul(4).max(1) };
+    let plan = CampaignPlan::new(matrix, config, shard_count);
+    let work_dir = std::env::temp_dir().join(format!("specstab-campaign-{}", std::process::id()));
+    // A stale spool left under a reused pid must not be replayed.
+    let _ = std::fs::remove_dir_all(&work_dir);
+    let mut workers = Vec::with_capacity(args.workers);
+    let outcome = serve_loopback(args, plan, &work_dir, &mut workers);
+    // Once the coordinator returns, the workers have nothing left to do;
+    // some may sit in a lease back-off, so they are stopped, not awaited.
+    for (_, child) in &mut workers {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+    let _ = std::fs::remove_dir_all(&work_dir);
+    let outcome = outcome.unwrap_or_else(|e| fail(&e));
+    emit_coordinated(
+        outcome,
+        args.trace.as_deref(),
+        args.metrics.as_deref(),
+        args.json.as_deref(),
+        args.csv.as_deref(),
+        args.cells_in_json,
+    );
+}
+
+/// Binds the coordinator on `127.0.0.1:0` (spool in `work_dir`, trace at
+/// `--trace`), spawns the workers into `workers`, and runs the
+/// coordinator while [`check_workers`] watches them.
+fn serve_loopback(
+    args: &Args,
+    plan: CampaignPlan,
+    work_dir: &Path,
+    workers: &mut Vec<(String, Child)>,
+) -> Result<Option<CampaignResult>, String> {
+    let options = ServeOptions {
+        spool: work_dir.to_path_buf(),
+        trace_path: args.trace.as_deref().map(PathBuf::from),
+        ..ServeOptions::default()
+    };
+    let shards = plan.shards.len();
+    let coordinator = Coordinator::bind(plan, "127.0.0.1:0", options)?;
+    let url = format!(
+        "http://{}",
+        coordinator.local_addr().map_err(|e| format!("reading the coordinator address: {e}"))?
+    );
+    let exe = std::env::current_exe().map_err(|e| format!("locating campaign binary: {e}"))?;
+    eprintln!("campaign: {shards} shards over {} workers at {url}", args.workers);
+    for i in 0..args.workers {
+        let id = format!("local-{i}");
+        let mut cmd = Command::new(&exe);
+        cmd.args(["work", "--coordinator", &url, "--worker-id", &id])
+            .args(["--threads", &args.threads.max(1).to_string()]);
+        if !args.batch {
+            cmd.args(["--batch", "off"]);
+        }
+        let child =
+            cmd.stdout(Stdio::null()).spawn().map_err(|e| format!("spawning worker {id}: {e}"))?;
+        workers.push((id, child));
+    }
+    coordinator.run_watched(|| check_workers(workers))
+}
+
+/// Fails naming the first worker that exited non-zero, or once every
+/// worker has exited — the coordinator polls this while shards are still
+/// missing, so either case means they never will be.
+fn check_workers(workers: &mut [(String, Child)]) -> Result<(), String> {
+    let mut live = 0;
+    for (id, child) in workers.iter_mut() {
+        match child.try_wait() {
+            Ok(None) => live += 1,
+            Ok(Some(status)) if status.success() => {}
+            Ok(Some(status)) => return Err(format!("worker {id} exited with {status}")),
+            Err(e) => return Err(format!("waiting on worker {id}: {e}")),
+        }
+    }
+    if live == 0 {
+        let last = workers.last().map_or("", |(id, _)| id.as_str());
+        return Err(format!("every worker (local-0..{last}) exited before the campaign completed"));
+    }
+    Ok(())
 }
 
 /// `campaign plan`: enumerate the matrix and write the shard plan.
@@ -732,20 +754,14 @@ fn cmd_serve(argv: &[String]) -> ! {
         .unwrap_or_else(|e| fail(&format!("parsing {plan_path}: {e}")));
     let coordinator = Coordinator::bind(plan, &listen, options).unwrap_or_else(|e| fail(&e));
     let outcome = coordinator.run().unwrap_or_else(|e| fail(&e));
-    let Some(result) = outcome else {
-        eprintln!("campaign: serve stopped before completion (fault injection)");
-        std::process::exit(3);
-    };
-    if let (Some(trace), Some(out)) = (trace_path.as_deref(), metrics.as_deref()) {
-        let text = std::fs::read_to_string(trace)
-            .unwrap_or_else(|e| fail(&format!("reading {trace}: {e}")));
-        let events = parse_ndjson(&text).unwrap_or_else(|e| fail(&format!("parsing {trace}: {e}")));
-        if let Err(e) = std::fs::write(out, metrics_from_events(&events).render()) {
-            fail(&format!("writing {out}: {e}"));
-        }
-        eprintln!("campaign: metrics sidecar -> {out}");
-    }
-    emit_result(&result, json.as_deref(), csv.as_deref(), cells_in_json);
+    emit_coordinated(
+        outcome,
+        trace_path.as_deref(),
+        metrics.as_deref(),
+        json.as_deref(),
+        csv.as_deref(),
+        cells_in_json,
+    );
 }
 
 /// `campaign work`: the elastic pull-worker loop against a coordinator.

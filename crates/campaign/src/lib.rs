@@ -32,25 +32,27 @@
 //! * [`plan`] — enumerates a matrix into a JSON-round-trippable
 //!   [`plan::CampaignPlan`]: the canonical cell list plus a deterministic,
 //!   group-aligned shard partition with stable ids;
-//! * [`shard`] — executes one shard (in-process backend, or worker
-//!   subprocesses running `campaign shard`) into a partial artifact that
-//!   carries the full bit-exact state of every statistics accumulator;
+//! * [`shard`] — executes one shard into a partial artifact that carries
+//!   the full bit-exact state of every statistics accumulator;
 //! * [`merge`] — folds any tiling set of partials, in any order, into a
 //!   [`CampaignResult`] whose artifacts are byte-identical to a
 //!   single-process sweep, incrementally via [`merge::MergeAccumulator`]
 //!   (duplicate uploads acknowledged and dropped) or in one shot;
-//! * [`serve`] — the networked transport: `campaign serve` is an HTTP
-//!   coordinator leasing shards to elastic `campaign work` pull-workers,
-//!   re-dispatching expired leases, folding uploads incrementally, and
-//!   spooling every accepted partial so a killed coordinator resumes from
-//!   disk;
+//! * [`serve`] — the one multi-process execution path: `campaign serve`
+//!   is an HTTP coordinator leasing shards to elastic `campaign work`
+//!   pull-workers, re-dispatching expired leases, folding uploads and the
+//!   workers' counter deltas incrementally, and spooling every accepted
+//!   partial so a killed coordinator resumes from disk;
+//!   `campaign run --workers N` is the same coordinator on loopback with
+//!   N local workers;
 //! * [`trace`] — the bridge into `specstab-telemetry`: `--trace` streams
-//!   versioned `specstab-events/v1` NDJSON from every subcommand (shard
-//!   workers included), and `--metrics` derives the runtime sidecar —
-//!   without perturbing a byte of the deterministic artifacts.
+//!   versioned `specstab-events/v1` NDJSON from every subcommand, and
+//!   `--metrics` derives the runtime sidecar — without perturbing a byte
+//!   of the deterministic artifacts.
 //!
 //! The `campaign` binary exposes all of this on the command line
-//! (`campaign plan` / `shard` / `merge` / `run --workers N`).
+//! (`campaign plan` / `shard` / `merge` / `serve` / `work` /
+//! `run --workers N`).
 //!
 //! # Example
 //!

@@ -5,7 +5,14 @@
 //! I/O under socket timeouts. Lease and status exchanges are tiny and
 //! uploads are bounded by the socket timeout, so a single thread both
 //! keeps every state transition trivially race-free and guarantees the
-//! trace's `(shard, seq)` order is the order things actually happened.
+//! trace's `seq` order is the order things actually happened.
+//!
+//! Counter model: each upload carries the worker's engine-counter delta
+//! for that shard in the [`COUNTERS_HEADER`]. The coordinator executes no
+//! cells itself; it sums the deltas of freshly accepted uploads into one
+//! [`CounterSnapshot`], which `/status` reports as `batch_groups` and the
+//! trace's `campaign_end` carries. Spool replays contribute zeros, and a
+//! malformed header rejects the upload like a malformed body.
 //!
 //! Durability model: **a partial on disk is a checkpoint.** Every accepted
 //! upload is written atomically to the spool directory before it is
@@ -15,12 +22,17 @@
 //! exactly as if a worker had just uploaded them.
 
 use super::http::{read_request, set_socket_timeouts, write_response, Request};
-use super::wire::{parse_worker_body, renew_reply, Lease, LeaseReply, UploadReply};
+use super::wire::{
+    parse_counters_header, parse_worker_body, renew_reply, Lease, LeaseReply, UploadReply,
+    COUNTERS_HEADER,
+};
 use crate::artifact::{write_atomic, PartialArtifact};
 use crate::executor::CampaignResult;
 use crate::merge::{Accepted, MergeAccumulator};
 use crate::plan::CampaignPlan;
-use specstab_telemetry::{obj, EventKind, Json, ServeCounts, ServeHeartbeat, TraceWriter};
+use specstab_telemetry::{
+    obj, CounterSnapshot, EventKind, Json, ServeCounts, ServeHeartbeat, TraceWriter,
+};
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -69,58 +81,6 @@ struct WorkerTally {
     moves: u64,
 }
 
-/// Campaign-wide batched-vs-scalar routing tally, accumulated from the
-/// `x-specstab-batch-routing` header workers send with each upload
-/// (`routed_sync,routed_rr,routed_rand,routed_dist,fallback_sync,`
-/// `fallback_rr,fallback_rand,fallback_dist`). Older four-field headers
-/// parse with the rand/dist slots zeroed; spooled partials replayed on
-/// resume carry no header and contribute zeros.
-#[derive(Debug, Default, Clone, Copy)]
-struct BatchRoutingTally {
-    routed_sync: u64,
-    routed_rr: u64,
-    routed_rand: u64,
-    routed_dist: u64,
-    fallback_sync: u64,
-    fallback_rr: u64,
-    fallback_rand: u64,
-    fallback_dist: u64,
-}
-
-impl BatchRoutingTally {
-    fn parse(header: &str) -> Self {
-        let mut parts = header.split(',').map(|p| p.trim().parse::<u64>().unwrap_or(0));
-        let mut next = || parts.next().unwrap_or(0);
-        // Positional, new fields appended per class: a four-field legacy
-        // header fills sync/rr routed slots then misreads its two
-        // fallback numbers as rand/dist routed — acceptable only because
-        // legacy workers never coexist with this coordinator (the serve
-        // protocol ships both sides from one build); fresh headers are
-        // always eight fields.
-        Self {
-            routed_sync: next(),
-            routed_rr: next(),
-            routed_rand: next(),
-            routed_dist: next(),
-            fallback_sync: next(),
-            fallback_rr: next(),
-            fallback_rand: next(),
-            fallback_dist: next(),
-        }
-    }
-
-    fn add(&mut self, other: Self) {
-        self.routed_sync += other.routed_sync;
-        self.routed_rr += other.routed_rr;
-        self.routed_rand += other.routed_rand;
-        self.routed_dist += other.routed_dist;
-        self.fallback_sync += other.fallback_sync;
-        self.fallback_rr += other.fallback_rr;
-        self.fallback_rand += other.fallback_rand;
-        self.fallback_dist += other.fallback_dist;
-    }
-}
-
 /// The serve coordinator (see the module docs for the model).
 pub struct Coordinator {
     plan: CampaignPlan,
@@ -136,7 +96,7 @@ pub struct Coordinator {
     uploads_accepted: u64,
     uploads_rejected: u64,
     workers: Vec<WorkerTally>,
-    batch_routing: BatchRoutingTally,
+    counters: CounterSnapshot,
     started: Instant,
 }
 
@@ -180,7 +140,7 @@ impl Coordinator {
             uploads_accepted: 0,
             uploads_rejected: 0,
             workers: Vec::new(),
-            batch_routing: BatchRoutingTally::default(),
+            counters: CounterSnapshot::default(),
             started: Instant::now(),
         };
         coordinator.emit(EventKind::CampaignStart {
@@ -223,7 +183,7 @@ impl Coordinator {
                 .map_err(|e| format!("reading spooled {}: {e}", path.display()))?;
             let partial = PartialArtifact::from_json(&text)
                 .map_err(|e| format!("parsing spooled {}: {e}", path.display()))?;
-            match self.fold_partial(partial, "spool", BatchRoutingTally::default(), false)? {
+            match self.fold_partial(partial, "spool", CounterSnapshot::default(), false)? {
                 UploadReply::Accepted { .. } => {}
                 UploadReply::Rejected { reason } => {
                     return Err(format!("spooled {} rejected: {reason}", path.display()));
@@ -331,13 +291,14 @@ impl Coordinator {
         false
     }
 
-    /// Validates and folds one partial (uploaded or spooled), spooling it
-    /// and marking its shard done on first acceptance.
+    /// Validates and folds one partial (uploaded or spooled), spooling it,
+    /// marking its shard done and adding the uploader's engine-counter
+    /// delta to the campaign total on first acceptance.
     fn fold_partial(
         &mut self,
         partial: PartialArtifact,
         worker: &str,
-        routing: BatchRoutingTally,
+        counters: CounterSnapshot,
         spool_it: bool,
     ) -> Result<UploadReply, String> {
         // Range check against the plan's own shard table first: the merge
@@ -378,7 +339,7 @@ impl Coordinator {
                         .map_err(|e| format!("spooling {}: {e}", path.display()))?;
                 }
                 self.states[shard_id] = ShardState::Done;
-                self.batch_routing.add(routing);
+                self.counters.add(&counters);
                 match self.workers.iter_mut().find(|t| t.worker == worker) {
                     Some(t) => {
                         t.shards_accepted += 1;
@@ -411,6 +372,7 @@ impl Coordinator {
     /// of the lease table and per-worker throughput.
     fn status_json(&self) -> String {
         let counts = self.counts();
+        let c = &self.counters;
         let wall_us = u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX);
         let wall_secs = self.started.elapsed().as_secs_f64().max(1e-9);
         let workers = self
@@ -444,14 +406,14 @@ impl Coordinator {
                     (
                         "batch_groups",
                         obj(vec![
-                            ("routed_sync", Json::UInt(self.batch_routing.routed_sync)),
-                            ("routed_rr", Json::UInt(self.batch_routing.routed_rr)),
-                            ("routed_rand", Json::UInt(self.batch_routing.routed_rand)),
-                            ("routed_dist", Json::UInt(self.batch_routing.routed_dist)),
-                            ("fallback_sync", Json::UInt(self.batch_routing.fallback_sync)),
-                            ("fallback_rr", Json::UInt(self.batch_routing.fallback_rr)),
-                            ("fallback_rand", Json::UInt(self.batch_routing.fallback_rand)),
-                            ("fallback_dist", Json::UInt(self.batch_routing.fallback_dist)),
+                            ("routed_sync", Json::UInt(c.batch_routed_sync_groups)),
+                            ("routed_rr", Json::UInt(c.batch_routed_rr_groups)),
+                            ("routed_rand", Json::UInt(c.batch_routed_rand_groups)),
+                            ("routed_dist", Json::UInt(c.batch_routed_dist_groups)),
+                            ("fallback_sync", Json::UInt(c.batch_fallback_sync_groups)),
+                            ("fallback_rr", Json::UInt(c.batch_fallback_rr_groups)),
+                            ("fallback_rand", Json::UInt(c.batch_fallback_rand_groups)),
+                            ("fallback_dist", Json::UInt(c.batch_fallback_dist_groups)),
                         ]),
                     ),
                     ("workers", Json::Arr(workers)),
@@ -480,14 +442,16 @@ impl Coordinator {
             },
             ("POST", "/upload") => {
                 let worker = req.header("x-specstab-worker").unwrap_or("anonymous").to_string();
-                let routing = req
-                    .header("x-specstab-batch-routing")
-                    .map_or_else(BatchRoutingTally::default, BatchRoutingTally::parse);
-                let parsed = std::str::from_utf8(&req.body)
-                    .map_err(|_| "non-UTF-8 upload body".to_string())
-                    .and_then(PartialArtifact::from_json);
+                let parsed = parse_counters_header(req.header(COUNTERS_HEADER)).and_then(|c| {
+                    std::str::from_utf8(&req.body)
+                        .map_err(|_| "non-UTF-8 upload body".to_string())
+                        .and_then(PartialArtifact::from_json)
+                        .map(|partial| (partial, c))
+                });
                 let reply = match parsed {
-                    Ok(partial) => self.fold_partial(partial, &worker, routing, true)?,
+                    Ok((partial, counters)) => {
+                        self.fold_partial(partial, &worker, counters, true)?
+                    }
                     Err(reason) => UploadReply::Rejected { reason },
                 };
                 match &reply {
@@ -523,7 +487,23 @@ impl Coordinator {
     /// Fails on spool/trace I/O errors and on a final merge that does not
     /// tile (impossible unless the plan's shard table itself is
     /// inconsistent).
-    pub fn run(mut self) -> Result<Option<CampaignResult>, String> {
+    pub fn run(self) -> Result<Option<CampaignResult>, String> {
+        self.run_watched(|| Ok(()))
+    }
+
+    /// [`Coordinator::run`], polling `watch` on every accept-loop pass
+    /// while shards are still missing (at least every few milliseconds).
+    /// An `Err` from `watch` aborts the run with that error: this is how
+    /// `campaign run --workers` stops waiting once its worker processes
+    /// have died, instead of waiting for uploads that will never come.
+    ///
+    /// # Errors
+    ///
+    /// As [`Coordinator::run`], plus the first error `watch` returns.
+    pub fn run_watched(
+        mut self,
+        mut watch: impl FnMut() -> Result<(), String>,
+    ) -> Result<Option<CampaignResult>, String> {
         eprintln!(
             "serve: coordinating {} shards ({} cells) on {}",
             self.plan.shards.len(),
@@ -531,6 +511,7 @@ impl Coordinator {
             self.local_addr().map_or_else(|_| "<unknown>".into(), |a| a.to_string()),
         );
         while !self.acc.is_complete() {
+            watch()?;
             self.expire_leases()?;
             match self.listener.accept() {
                 Ok((mut stream, _peer)) => {
@@ -589,9 +570,7 @@ impl Coordinator {
                 errors: result.total_errors(),
                 violations: result.total_violations(),
                 wall_us,
-                // The coordinator executes no cells itself; engine counters
-                // live in the workers' own traces.
-                counters: specstab_telemetry::CounterSnapshot::default(),
+                counters: self.counters,
             })?;
         }
         if let Some(w) = self.trace.take() {

@@ -9,10 +9,33 @@
 //! | `GET /plan`   | —                      | the `CampaignPlan` JSON |
 //! | `POST /lease` | `{"worker":id}`        | [`LeaseReply`] |
 //! | `POST /renew` | `{"worker":id,"lease_id":n}` | `{"renewed":bool}` |
-//! | `POST /upload`| partial JSON (+ `x-specstab-worker` header) | [`UploadReply`] |
+//! | `POST /upload`| partial JSON (+ `x-specstab-worker` and [`COUNTERS_HEADER`] headers) | [`UploadReply`] |
 //! | `GET /status` | —                      | `specstab-metrics/v1` snapshot |
 
-use specstab_telemetry::{obj, Json};
+use specstab_telemetry::{obj, CounterSnapshot, Json};
+
+/// Upload header carrying the worker's engine-counter delta for the
+/// uploaded shard, as compact `CounterSnapshot` JSON.
+pub const COUNTERS_HEADER: &str = "x-specstab-counters";
+
+/// Renders a counter delta as a [`COUNTERS_HEADER`] value.
+#[must_use]
+pub fn counters_header(counters: &CounterSnapshot) -> String {
+    counters.to_json().render_compact()
+}
+
+/// Parses a [`COUNTERS_HEADER`] value. A missing header counts as zero
+/// counters: spool replays and hand-made uploads carry none.
+///
+/// # Errors
+///
+/// Fails on a value that is not a `CounterSnapshot` JSON object.
+pub fn parse_counters_header(value: Option<&str>) -> Result<CounterSnapshot, String> {
+    let Some(value) = value else { return Ok(CounterSnapshot::default()) };
+    Json::parse(value)
+        .and_then(|j| CounterSnapshot::from_json(&j))
+        .map_err(|e| format!("malformed {COUNTERS_HEADER} header: {e}"))
+}
 
 /// A granted lease: which cells to run and how long the coordinator will
 /// wait before re-dispatching.

@@ -12,10 +12,12 @@
 
 use super::http::{request, CoordinatorUrl};
 use super::wire::{
-    lease_request, parse_renew_reply, renew_request, Lease, LeaseReply, UploadReply,
+    counters_header, lease_request, parse_renew_reply, renew_request, Lease, LeaseReply,
+    UploadReply, COUNTERS_HEADER,
 };
 use crate::plan::CampaignPlan;
 use crate::shard::execute_shard;
+use specstab_telemetry::{global, CounterSnapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -134,20 +136,19 @@ fn execute_leased(
 }
 
 /// Uploads a partial with bounded-jittered retries. `Ok(true)` means a
-/// fresh acceptance, `Ok(false)` a duplicate acknowledgement. `routing`
-/// is the worker's batched-vs-scalar routing tally for this shard
-/// (`routed_sync,routed_rr,routed_rand,routed_dist,fallback_sync,`
-/// `fallback_rr,fallback_rand,fallback_dist`), carried as a
-/// header so the coordinator's `/status` can report how much of the
-/// campaign ran lane-packed without touching the partial artifact bytes.
+/// fresh acceptance, `Ok(false)` a duplicate acknowledgement. `counters`
+/// is the worker's engine-counter delta for this shard, carried in the
+/// [`COUNTERS_HEADER`] so the coordinator can report campaign-wide
+/// counters without touching the partial artifact bytes.
 fn upload(
     url: &CoordinatorUrl,
     opts: &WorkOptions,
     body: &str,
-    routing: &str,
+    counters: &CounterSnapshot,
 ) -> Result<Option<bool>, String> {
+    let counters = counters_header(counters);
     let headers =
-        [("x-specstab-worker", opts.worker_id.as_str()), ("x-specstab-batch-routing", routing)];
+        [("x-specstab-worker", opts.worker_id.as_str()), (COUNTERS_HEADER, counters.as_str())];
     let mut last_err = String::new();
     for attempt in 0..UPLOAD_ATTEMPTS {
         match request(url, "POST", "/upload", &headers, body.as_bytes()) {
@@ -247,21 +248,10 @@ pub fn run_worker(opts: &WorkOptions) -> Result<WorkerSummary, String> {
             );
             return Ok(summary);
         }
-        let before = specstab_telemetry::global().snapshot();
+        let before = global().snapshot();
         let partial = execute_leased(&url, opts, &plan, &lease)?;
-        let d = specstab_telemetry::global().snapshot().delta(&before);
-        let routing = format!(
-            "{},{},{},{},{},{},{},{}",
-            d.batch_routed_sync_groups,
-            d.batch_routed_rr_groups,
-            d.batch_routed_rand_groups,
-            d.batch_routed_dist_groups,
-            d.batch_fallback_sync_groups,
-            d.batch_fallback_rr_groups,
-            d.batch_fallback_rand_groups,
-            d.batch_fallback_dist_groups
-        );
-        match upload(&url, opts, &partial.to_json(), &routing)? {
+        let counters = global().snapshot().delta(&before);
+        match upload(&url, opts, &partial.to_json(), &counters)? {
             Some(true) => summary.executed += 1,
             Some(false) => {
                 summary.duplicates += 1;

@@ -1,6 +1,7 @@
 //! Bridges campaign execution results into the `specstab-events/v1`
 //! stream: the mapping from [`CellResult`]/[`GroupSummary`] to event
-//! payloads, shared by every `campaign` subcommand that takes `--trace`.
+//! payloads, shared by the in-process `campaign run --trace` and by
+//! `campaign shard --trace`.
 //!
 //! Events are emitted **post-hoc** in canonical matrix order (cells of a
 //! group, then the group), not in completion order — the executor's
@@ -10,7 +11,7 @@
 
 use crate::executor::{CellResult, GroupSummary};
 use specstab_telemetry::event::{CellEvent, CellOutcomeEvent};
-use specstab_telemetry::{CounterSnapshot, Event, EventKind, TraceWriter};
+use specstab_telemetry::{EventKind, TraceWriter};
 
 /// The event payload describing one executed cell.
 #[must_use]
@@ -70,37 +71,6 @@ pub fn emit_result_events(
     Ok(())
 }
 
-/// Field-wise sum of every `shard_end` counter snapshot in an event
-/// sequence — how the orchestrator reconstructs campaign-wide engine
-/// counters it never observed in its own process.
-#[must_use]
-pub fn sum_shard_counters(events: &[Event]) -> CounterSnapshot {
-    let mut total = CounterSnapshot::default();
-    for e in events {
-        if let EventKind::ShardEnd { counters, .. } = &e.kind {
-            total.steps += counters.steps;
-            total.moves += counters.moves;
-            total.guard_evals += counters.guard_evals;
-            total.delta_bytes += counters.delta_bytes;
-            total.scratch_reuses += counters.scratch_reuses;
-            total.config_clones += counters.config_clones;
-            total.batch_lanes += counters.batch_lanes;
-            total.batch_lane_steps += counters.batch_lane_steps;
-            total.batch_idle_lane_steps += counters.batch_idle_lane_steps;
-            total.batch_scalar_fallbacks += counters.batch_scalar_fallbacks;
-            total.batch_routed_sync_groups += counters.batch_routed_sync_groups;
-            total.batch_routed_rr_groups += counters.batch_routed_rr_groups;
-            total.batch_routed_rand_groups += counters.batch_routed_rand_groups;
-            total.batch_routed_dist_groups += counters.batch_routed_dist_groups;
-            total.batch_fallback_sync_groups += counters.batch_fallback_sync_groups;
-            total.batch_fallback_rr_groups += counters.batch_fallback_rr_groups;
-            total.batch_fallback_rand_groups += counters.batch_fallback_rand_groups;
-            total.batch_fallback_dist_groups += counters.batch_fallback_dist_groups;
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,36 +110,5 @@ mod tests {
         let EventKind::Cell(c) = &events[1].kind else { panic!("cell event") };
         assert_eq!(c.topology, "ring:6");
         assert!(c.outcome.is_ok());
-    }
-
-    #[test]
-    fn shard_counters_sum_field_wise() {
-        let snap = |k: u64| CounterSnapshot {
-            steps: k,
-            moves: 2 * k,
-            guard_evals: 3 * k,
-            delta_bytes: 4 * k,
-            scratch_reuses: 5 * k,
-            config_clones: 6 * k,
-            batch_lanes: 7 * k,
-            batch_lane_steps: 10 * k,
-            batch_idle_lane_steps: 8 * k,
-            batch_scalar_fallbacks: 9 * k,
-            batch_routed_sync_groups: 11 * k,
-            batch_routed_rr_groups: 12 * k,
-            batch_routed_rand_groups: 15 * k,
-            batch_routed_dist_groups: 16 * k,
-            batch_fallback_sync_groups: 13 * k,
-            batch_fallback_rr_groups: 14 * k,
-            batch_fallback_rand_groups: 17 * k,
-            batch_fallback_dist_groups: 18 * k,
-        };
-        let ev = |shard: u64, kind: EventKind| Event { shard: Some(shard), seq: 1, t_us: 0, kind };
-        let events = vec![
-            ev(0, EventKind::ShardEnd { cells: 4, wall_us: 1, counters: snap(1) }),
-            ev(1, EventKind::MergeStart { partials: 2 }),
-            ev(1, EventKind::ShardEnd { cells: 4, wall_us: 1, counters: snap(10) }),
-        ];
-        assert_eq!(sum_shard_counters(&events), snap(11));
     }
 }

@@ -1,20 +1,25 @@
-//! End-to-end drills for the serve subsystem, all in-process on
+//! End-to-end drills for the serve subsystem, in-process on
 //! `127.0.0.1:0`: elastic pull-workers against a real coordinator socket,
 //! an abandoned lease expiring and being re-dispatched, a coordinator
 //! "crash" resumed from its spool, wire-level duplicate/reject handling,
 //! and the `/status` snapshot — with the final artifact byte-identical to
-//! a single-process run every time.
+//! a single-process run every time. One more drill drives the real
+//! `campaign run --workers` binary and kills one of its worker processes.
 
 use specstab_campaign::artifact::to_json;
 use specstab_campaign::executor::{run_campaign_sequential, CampaignConfig};
 use specstab_campaign::matrix::ScenarioMatrix;
 use specstab_campaign::plan::CampaignPlan;
 use specstab_campaign::serve::http::{request, CoordinatorUrl};
-use specstab_campaign::serve::wire::{lease_request, renew_request, LeaseReply, UploadReply};
+use specstab_campaign::serve::wire::{
+    counters_header, lease_request, renew_request, LeaseReply, UploadReply, COUNTERS_HEADER,
+};
 use specstab_campaign::serve::{run_worker, Coordinator, ServeOptions, WorkOptions};
 use specstab_campaign::shard::execute_shard;
-use specstab_telemetry::{parse_ndjson, validate_events, EventKind, Json};
+use specstab_telemetry::{parse_ndjson, validate_events, CounterSnapshot, EventKind, Json};
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn matrix() -> ScenarioMatrix {
     ScenarioMatrix::builder()
@@ -107,6 +112,12 @@ fn expired_lease_is_redispatched_and_artifact_stays_byte_identical() {
     let accepted =
         events.iter().filter(|e| matches!(e.kind, EventKind::PartialAccepted { .. })).count();
     assert_eq!(accepted, 4, "one acceptance per shard, duplicates dropped silently");
+    // The workers' uploaded counter deltas reach the coordinator's total.
+    let moves = events.iter().find_map(|e| match &e.kind {
+        EventKind::CampaignEnd { counters, .. } => Some(counters.moves),
+        _ => None,
+    });
+    assert!(moves.is_some_and(|m| m > 0), "campaign_end carries summed counters: {moves:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -190,6 +201,7 @@ fn killed_coordinator_resumes_from_spool_without_rerunning_shards() {
 #[test]
 fn wire_endpoints_status_duplicates_and_rejections() {
     let dir = scratch("wire");
+    let trace_path = dir.join("wire.events.ndjson");
     let plan = CampaignPlan::new(&matrix(), &config(), 2);
     let total_cells = plan.cells.len();
     let coordinator = Coordinator::bind(
@@ -198,7 +210,7 @@ fn wire_endpoints_status_duplicates_and_rejections() {
         ServeOptions {
             lease_ms: 30_000,
             spool: dir.join("spool"),
-            trace_path: None,
+            trace_path: Some(trace_path.clone()),
             stop_after_uploads: None,
         },
     )
@@ -253,15 +265,37 @@ fn wire_endpoints_status_duplicates_and_rejections() {
     let reply = UploadReply::from_json(std::str::from_utf8(&body).unwrap()).expect("parses");
     assert!(matches!(reply, UploadReply::Rejected { .. }), "got {reply:?}");
 
-    // A valid upload is accepted; uploading the identical partial again is
-    // acknowledged as a duplicate, not double-counted.
+    // A malformed counters header is rejected like a malformed body, and
+    // the shard stays pending: the next valid upload is fresh.
     let shard0 = execute_shard(&plan, 0, 1).expect("shard 0");
+    let (status, body) = request(
+        &url,
+        "POST",
+        "/upload",
+        &[("x-specstab-worker", "manual"), (COUNTERS_HEADER, "1,2,3,4,5,6,7,8")],
+        shard0.to_json().as_bytes(),
+    )
+    .expect("rejected upload");
+    assert_eq!(status, 400);
+    let reply = UploadReply::from_json(std::str::from_utf8(&body).unwrap()).expect("parses");
+    assert!(
+        matches!(&reply, UploadReply::Rejected { reason } if reason.contains(COUNTERS_HEADER)),
+        "got {reply:?}"
+    );
+
+    // A valid upload is accepted; uploading the identical partial again is
+    // acknowledged as a duplicate, not double-counted — neither are its
+    // counters.
+    let counters = counters_header(&CounterSnapshot {
+        batch_routed_sync_groups: 3,
+        ..CounterSnapshot::default()
+    });
     for (round, expect_duplicate) in [(1, false), (2, true)] {
         let (status, body) = request(
             &url,
             "POST",
             "/upload",
-            &[("x-specstab-worker", "manual")],
+            &[("x-specstab-worker", "manual"), (COUNTERS_HEADER, &counters)],
             shard0.to_json().as_bytes(),
         )
         .expect("upload");
@@ -269,6 +303,10 @@ fn wire_endpoints_status_duplicates_and_rejections() {
         let reply = UploadReply::from_json(std::str::from_utf8(&body).unwrap()).expect("parses");
         assert_eq!(reply, UploadReply::Accepted { duplicate: expect_duplicate }, "round {round}");
     }
+    let (_, body) = request(&url, "GET", "/status", &[], b"").expect("status");
+    let snapshot = Json::parse(std::str::from_utf8(&body).unwrap()).expect("parses");
+    let routed = snapshot.req("serve").and_then(|s| s.req("batch_groups")?.req("routed_sync"));
+    assert_eq!(routed.and_then(Json::as_u64), Ok(3), "uploaded counters reach /status");
 
     // Finish the campaign so the coordinator thread joins cleanly.
     let shard1 = execute_shard(&plan, 1, 1).expect("shard 1");
@@ -284,5 +322,109 @@ fn wire_endpoints_status_duplicates_and_rejections() {
     let result = serve.join().expect("serve thread").expect("serve ok").expect("completed");
     assert_eq!(result.cells.len(), total_cells);
     assert_eq!(to_json(&result, true), golden());
+
+    // Both rejections are traced.
+    let events =
+        parse_ndjson(&std::fs::read_to_string(&trace_path).expect("trace")).expect("parses");
+    let rejected: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::PartialRejected { reason, .. } => Some(reason.as_str()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(rejected.len(), 2, "{rejected:?}");
+    assert!(rejected[1].contains(COUNTERS_HEADER), "{rejected:?}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failing `watch` aborts the accept loop with its error, even while
+/// no worker ever connects.
+#[test]
+fn watch_error_aborts_the_coordinator() {
+    let dir = scratch("watch");
+    let coordinator = Coordinator::bind(
+        CampaignPlan::new(&matrix(), &config(), 2),
+        "127.0.0.1:0",
+        ServeOptions { spool: dir.join("spool"), ..ServeOptions::default() },
+    )
+    .expect("bind");
+    let mut polls = 0;
+    let outcome = coordinator.run_watched(|| {
+        polls += 1;
+        if polls < 3 {
+            Ok(())
+        } else {
+            Err("worker gone".into())
+        }
+    });
+    assert_eq!(outcome.err().as_deref(), Some("worker gone"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pids of the live children of `parent`, from the `ppid` field of
+/// `/proc/<pid>/stat` (the field after the parenthesized command name).
+fn children_of(parent: u32) -> Vec<u32> {
+    let Ok(entries) = std::fs::read_dir("/proc") else { return Vec::new() };
+    entries
+        .filter_map(|e| e.ok()?.file_name().to_str()?.parse::<u32>().ok())
+        .filter(|pid| {
+            let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap_or_default();
+            let ppid = stat.rsplit_once(')').and_then(|(_, rest)| rest.split_whitespace().nth(1));
+            ppid.and_then(|p| p.parse::<u32>().ok()) == Some(parent)
+        })
+        .collect()
+}
+
+/// `campaign run --workers 2` with one worker killed mid-campaign exits
+/// non-zero naming the worker, without waiting for the lease to expire,
+/// and leaves neither worker processes nor its temp work dir behind.
+#[cfg(target_os = "linux")]
+#[test]
+fn run_workers_fails_fast_when_a_worker_dies() {
+    let started = Instant::now();
+    let mut run = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["run", "--workers", "2", "--topologies", "ring:1024", "--protocols", "ssme"])
+        .args(["--daemons", "central-rand", "--faults", "0", "--seeds", "16"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("campaign run spawns");
+    let mut workers = children_of(run.id());
+    while workers.len() < 2 && started.elapsed() < Duration::from_secs(30) {
+        std::thread::sleep(Duration::from_millis(20));
+        workers = children_of(run.id());
+    }
+    let stop = |run: &mut std::process::Child, pids: &[u32]| {
+        for pid in pids {
+            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+        }
+        let _ = run.kill();
+    };
+    if workers.len() != 2 {
+        stop(&mut run, &workers);
+        panic!("expected 2 worker processes, found {workers:?}");
+    }
+    let killed = Command::new("kill").args(["-9", &workers[0].to_string()]).status();
+    assert!(killed.is_ok_and(|s| s.success()), "kill -9 worker {}", workers[0]);
+    let status = loop {
+        if let Some(status) = run.try_wait().expect("try_wait") {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(120) {
+            stop(&mut run, &workers);
+            panic!("run --workers hung after a worker died");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let run_pid = run.id();
+    let stderr = run.wait_with_output().map(|o| o.stderr).unwrap_or_default();
+    let stderr = String::from_utf8_lossy(&stderr);
+    assert!(!status.success(), "run must fail:\n{stderr}");
+    assert!(stderr.contains("worker local-") && stderr.contains("exited with"), "{stderr}");
+    for pid in &workers {
+        assert!(!std::path::Path::new(&format!("/proc/{pid}")).exists(), "worker {pid} reaped");
+    }
+    let work_dir = std::env::temp_dir().join(format!("specstab-campaign-{run_pid}"));
+    assert!(!work_dir.exists(), "{} left behind", work_dir.display());
 }

@@ -3,20 +3,15 @@
 //!
 //! * the acceptance scenario — `campaign run --workers 3 --trace ...
 //!   --metrics ...` must produce a schema-valid `specstab-events/v1`
-//!   stream and a `specstab-metrics/v1` sidecar **while the JSON artifact
-//!   stays byte-identical to the checked-in golden** (telemetry never
-//!   perturbs determinism);
-//! * the merge-determinism property — the interleaving of a real 3-shard
-//!   subprocess run's worker streams is independent of the order the
-//!   streams are fed to `merge_streams` (proptest over permutations; the
-//!   vendored proptest has no shuffle strategy, so permutations are
-//!   derived from a `u64` seed).
+//!   coordinator stream and a `specstab-metrics/v1` sidecar **while the
+//!   JSON artifact stays byte-identical to the checked-in golden**
+//!   (telemetry never perturbs determinism);
+//! * the shard streams — every `campaign shard --trace` stream of a real
+//!   3-shard plan validates on its own and carries the per-shard rows.
 
-use proptest::prelude::*;
-use specstab_telemetry::{merge_streams, parse_ndjson, validate_events, Event, EventKind, Json};
+use specstab_telemetry::{parse_ndjson, validate_events, EventKind, Json};
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::OnceLock;
 
 const GOLDEN: &str = include_str!("golden/campaign_golden.json");
 
@@ -48,39 +43,36 @@ fn traced_workers_run_is_schema_valid_and_keeps_the_golden_byte_identical() {
         .expect("campaign run spawns");
     let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
     assert!(output.status.success(), "campaign run failed:\n{stderr}");
-    assert!(stderr.contains("[campaign]"), "heartbeat lines reach stderr:\n{stderr}");
+    assert!(stderr.contains("[serve]"), "coordinator heartbeat reaches stderr:\n{stderr}");
 
     // Determinism: the artifact of the traced 3-worker run is the golden,
     // byte for byte.
     let artifact = std::fs::read_to_string(&json_path).expect("artifact written");
     assert_eq!(artifact, GOLDEN, "telemetry must not perturb the deterministic artifact");
 
-    // The event stream parses strictly, validates, and covers the full
-    // orchestrated lifecycle.
+    // The coordinator's event stream parses strictly, validates, and
+    // covers the served lifecycle: leases, one acceptance per shard
+    // covering every cell, the merge, and the workers' summed counters.
     let text = std::fs::read_to_string(&trace_path).expect("trace written");
     let events = parse_ndjson(&text).expect("trace parses");
     validate_events(&events).expect("trace validates");
     let has = |tag: &str| events.iter().any(|e| e.kind.tag() == tag);
-    for tag in [
-        "stream",
-        "campaign_start",
-        "plan",
-        "shard_start",
-        "cell",
-        "group",
-        "shard_end",
-        "merge_start",
-        "merge_end",
-        "campaign_end",
-    ] {
-        assert!(has(tag), "orchestrated trace carries a '{tag}' event");
+    for tag in ["stream", "campaign_start", "plan", "lease_granted", "merge_start", "merge_end"] {
+        assert!(has(tag), "coordinator trace carries a '{tag}' event");
     }
-    let cell_events = events.iter().filter(|e| e.kind.tag() == "cell").count();
-    assert_eq!(cell_events, 54, "one cell event per executed cell");
-    assert!(
-        events.iter().any(|e| e.shard.is_some()),
-        "worker streams are spliced into the orchestrator trace"
-    );
+    let accepted_cells: u64 = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            EventKind::PartialAccepted { cells, .. } => Some(*cells),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(accepted_cells, 54, "accepted partials cover every cell once");
+    let end_moves = events.iter().find_map(|e| match &e.kind {
+        EventKind::CampaignEnd { counters, .. } => Some(counters.moves),
+        _ => None,
+    });
+    assert!(end_moves.is_some_and(|m| m > 0), "campaign_end sums worker counters: {end_moves:?}");
 
     // The metrics sidecar parses strictly and its totals agree with the
     // campaign.
@@ -97,82 +89,51 @@ fn traced_workers_run_is_schema_valid_and_keeps_the_golden_byte_identical() {
     }
 }
 
-/// Runs one real 3-shard plan through `campaign shard --trace` worker
-/// invocations and returns the three parsed worker streams (cached: the
-/// subprocess sweep runs once, the property permutes in memory).
-fn shard_streams() -> &'static Vec<Vec<Event>> {
-    static STREAMS: OnceLock<Vec<Vec<Event>>> = OnceLock::new();
-    STREAMS.get_or_init(|| {
-        let plan_path = temp_path("plan.json");
+/// Every `campaign shard --trace` stream of a real 3-shard plan validates
+/// on its own and carries `shard_start`, one `cell` per shard cell, the
+/// shard's `group` rows and `shard_end`.
+#[test]
+fn shard_streams_validate_and_carry_per_shard_rows() {
+    let plan_path = temp_path("plan.json");
+    let status = Command::new(campaign_exe())
+        .args(["plan", "--topologies", "ring:6,path:5", "--protocols", "ssme"])
+        .args(["--daemons", "sync,central-rr", "--faults", "0,1", "--seeds", "2"])
+        .args(["--shards", "3", "--out"])
+        .arg(&plan_path)
+        .status()
+        .expect("campaign plan spawns");
+    assert!(status.success(), "campaign plan failed");
+    let mut total_cells = 0;
+    for id in 0..3 {
+        let out = temp_path(&format!("shard-{id}.partial.json"));
+        let trace = temp_path(&format!("shard-{id}.events.ndjson"));
         let status = Command::new(campaign_exe())
-            .args(["plan", "--topologies", "ring:6,path:5", "--protocols", "ssme"])
-            .args(["--daemons", "sync,central-rr", "--faults", "0,1", "--seeds", "2"])
-            .args(["--shards", "3", "--out"])
+            .args(["shard", "--shard", &id.to_string(), "--plan"])
             .arg(&plan_path)
+            .arg("--out")
+            .arg(&out)
+            .arg("--trace")
+            .arg(&trace)
             .status()
-            .expect("campaign plan spawns");
-        assert!(status.success(), "campaign plan failed");
-        let streams: Vec<Vec<Event>> = (0..3)
-            .map(|id| {
-                let out = temp_path(&format!("shard-{id}.partial.json"));
-                let trace = temp_path(&format!("shard-{id}.events.ndjson"));
-                let status = Command::new(campaign_exe())
-                    .args(["shard", "--shard", &id.to_string(), "--plan"])
-                    .arg(&plan_path)
-                    .arg("--out")
-                    .arg(&out)
-                    .arg("--trace")
-                    .arg(&trace)
-                    .status()
-                    .expect("campaign shard spawns");
-                assert!(status.success(), "campaign shard {id} failed");
-                let events = parse_ndjson(&std::fs::read_to_string(&trace).expect("trace"))
-                    .expect("worker stream parses");
-                validate_events(&events).expect("worker stream validates");
-                let _ = std::fs::remove_file(&out);
-                let _ = std::fs::remove_file(&trace);
-                events
-            })
-            .collect();
-        let _ = std::fs::remove_file(&plan_path);
-        streams
-    })
-}
-
-/// A permutation of `0..n` derived from `seed` (Fisher–Yates over a
-/// SplitMix-style generator — the vendored proptest has no shuffle
-/// strategy).
-fn permutation(n: usize, mut seed: u64) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        let j = usize::try_from(seed >> 33).unwrap() % (i + 1);
-        idx.swap(i, j);
+            .expect("campaign shard spawns");
+        assert!(status.success(), "campaign shard {id} failed");
+        let events = parse_ndjson(&std::fs::read_to_string(&trace).expect("trace"))
+            .expect("shard stream parses");
+        validate_events(&events).expect("shard stream validates");
+        assert!(events.iter().all(|e| e.shard == Some(id)), "stamped with shard {id}");
+        let count = |tag: &str| events.iter().filter(|e| e.kind.tag() == tag).count();
+        let Some(EventKind::ShardStart { start, end }) =
+            events.iter().map(|e| &e.kind).find(|k| k.tag() == "shard_start")
+        else {
+            panic!("shard {id} stream has no shard_start");
+        };
+        assert_eq!(count("cell") as u64, end - start, "one cell event per shard cell");
+        assert!(count("group") > 0, "shard {id} carries group rows");
+        assert_eq!(count("shard_end"), 1);
+        total_cells += count("cell");
+        let _ = std::fs::remove_file(&out);
+        let _ = std::fs::remove_file(&trace);
     }
-    idx
-}
-
-proptest! {
-    /// Feeding the worker streams of a real subprocess run to
-    /// `merge_streams` in any order — and even re-chunked into singleton
-    /// streams in any order — yields the identical merged sequence.
-    #[test]
-    fn merged_subprocess_stream_is_independent_of_stream_order(seed in any::<u64>()) {
-        let streams = shard_streams();
-        let canonical = merge_streams(streams.clone());
-        validate_events(&canonical).expect("merged stream validates");
-        prop_assert!(canonical.iter().any(|e| matches!(e.kind, EventKind::ShardEnd { .. })));
-
-        let by_stream: Vec<Vec<Event>> =
-            permutation(streams.len(), seed).into_iter().map(|i| streams[i].clone()).collect();
-        prop_assert_eq!(&merge_streams(by_stream), &canonical);
-
-        let flat: Vec<Event> = streams.iter().flatten().cloned().collect();
-        let singletons: Vec<Vec<Event>> =
-            permutation(flat.len(), seed ^ 0x9E37_79B9_7F4A_7C15)
-                .into_iter()
-                .map(|i| vec![flat[i].clone()])
-                .collect();
-        prop_assert_eq!(&merge_streams(singletons), &canonical);
-    }
+    let _ = std::fs::remove_file(&plan_path);
+    assert_eq!(total_cells, 16, "the shards tile the plan");
 }

@@ -4,8 +4,9 @@
 //! Usage: `events_check <trace.ndjson>...`
 //!
 //! Each file is parsed line-by-line through the strict JSON reader and
-//! checked against the stream discipline (schema header first, dense
-//! per-stream sequence numbers, monotonic timestamps) plus the batch
+//! checked against the stream discipline (one stream per file: schema
+//! header first, one shard id, dense sequence numbers, monotonic
+//! timestamps), the lease discipline of coordinator traces, and the batch
 //! counter invariant (a stream with zero launched lanes cannot carry idle
 //! lane-steps). Exit code 0 when every file validates; 1 with a
 //! diagnostic on stderr otherwise. CI runs this over the traces the

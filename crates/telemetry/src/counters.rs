@@ -17,6 +17,7 @@
 //!
 //! [`Configuration`]: https://docs.rs/specstab-kernel
 
+use crate::json::{obj, Json};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tallies of one engine run, accumulated in plain locals by the step
@@ -151,48 +152,120 @@ impl CounterSnapshot {
     /// another epoch degrades to zeros instead of wrapping).
     #[must_use]
     pub fn delta(&self, earlier: &Self) -> Self {
-        Self {
-            steps: self.steps.saturating_sub(earlier.steps),
-            moves: self.moves.saturating_sub(earlier.moves),
-            guard_evals: self.guard_evals.saturating_sub(earlier.guard_evals),
-            delta_bytes: self.delta_bytes.saturating_sub(earlier.delta_bytes),
-            scratch_reuses: self.scratch_reuses.saturating_sub(earlier.scratch_reuses),
-            config_clones: self.config_clones.saturating_sub(earlier.config_clones),
-            batch_lanes: self.batch_lanes.saturating_sub(earlier.batch_lanes),
-            batch_lane_steps: self.batch_lane_steps.saturating_sub(earlier.batch_lane_steps),
-            batch_idle_lane_steps: self
-                .batch_idle_lane_steps
-                .saturating_sub(earlier.batch_idle_lane_steps),
-            batch_scalar_fallbacks: self
-                .batch_scalar_fallbacks
-                .saturating_sub(earlier.batch_scalar_fallbacks),
-            batch_routed_sync_groups: self
-                .batch_routed_sync_groups
-                .saturating_sub(earlier.batch_routed_sync_groups),
-            batch_routed_rr_groups: self
-                .batch_routed_rr_groups
-                .saturating_sub(earlier.batch_routed_rr_groups),
-            batch_routed_rand_groups: self
-                .batch_routed_rand_groups
-                .saturating_sub(earlier.batch_routed_rand_groups),
-            batch_routed_dist_groups: self
-                .batch_routed_dist_groups
-                .saturating_sub(earlier.batch_routed_dist_groups),
-            batch_fallback_sync_groups: self
-                .batch_fallback_sync_groups
-                .saturating_sub(earlier.batch_fallback_sync_groups),
-            batch_fallback_rr_groups: self
-                .batch_fallback_rr_groups
-                .saturating_sub(earlier.batch_fallback_rr_groups),
-            batch_fallback_rand_groups: self
-                .batch_fallback_rand_groups
-                .saturating_sub(earlier.batch_fallback_rand_groups),
-            batch_fallback_dist_groups: self
-                .batch_fallback_dist_groups
-                .saturating_sub(earlier.batch_fallback_dist_groups),
+        let mut out = *self;
+        for (field, before) in out.fields_mut().into_iter().zip(earlier.fields()) {
+            *field = field.saturating_sub(before);
+        }
+        out
+    }
+
+    /// Field-wise `self += other` (summing per-shard or per-upload deltas
+    /// into a campaign total).
+    pub fn add(&mut self, other: &Self) {
+        for (field, more) in self.fields_mut().into_iter().zip(other.fields()) {
+            *field += more;
         }
     }
+
+    /// Renders the snapshot as a JSON object — the one codec shared by
+    /// event streams, metrics sidecars and the serve upload header.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        obj(FIELD_NAMES.iter().copied().zip(self.fields().map(Json::UInt)).collect())
+    }
+
+    /// Parses [`CounterSnapshot::to_json`] output. The six engine fields
+    /// are required; the batch fields are optional and read as zero,
+    /// because traces written before the batch counters existed carry the
+    /// same `specstab-events/v1` schema.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a non-object, a missing engine field, or any field that is
+    /// not an unsigned integer.
+    pub fn from_json(j: &Json) -> Result<Self, String> {
+        let mut out = Self::default();
+        for (i, (name, field)) in FIELD_NAMES.iter().zip(out.fields_mut()).enumerate() {
+            *field = match j.get(name) {
+                Some(v) => v.as_u64()?,
+                None if i >= REQUIRED_FIELDS => 0,
+                None => return Err(format!("missing field '{name}'")),
+            };
+        }
+        Ok(out)
+    }
+
+    fn fields(&self) -> [u64; FIELD_NAMES.len()] {
+        [
+            self.steps,
+            self.moves,
+            self.guard_evals,
+            self.delta_bytes,
+            self.scratch_reuses,
+            self.config_clones,
+            self.batch_lanes,
+            self.batch_lane_steps,
+            self.batch_idle_lane_steps,
+            self.batch_scalar_fallbacks,
+            self.batch_routed_sync_groups,
+            self.batch_routed_rr_groups,
+            self.batch_routed_rand_groups,
+            self.batch_routed_dist_groups,
+            self.batch_fallback_sync_groups,
+            self.batch_fallback_rr_groups,
+            self.batch_fallback_rand_groups,
+            self.batch_fallback_dist_groups,
+        ]
+    }
+
+    fn fields_mut(&mut self) -> [&mut u64; FIELD_NAMES.len()] {
+        [
+            &mut self.steps,
+            &mut self.moves,
+            &mut self.guard_evals,
+            &mut self.delta_bytes,
+            &mut self.scratch_reuses,
+            &mut self.config_clones,
+            &mut self.batch_lanes,
+            &mut self.batch_lane_steps,
+            &mut self.batch_idle_lane_steps,
+            &mut self.batch_scalar_fallbacks,
+            &mut self.batch_routed_sync_groups,
+            &mut self.batch_routed_rr_groups,
+            &mut self.batch_routed_rand_groups,
+            &mut self.batch_routed_dist_groups,
+            &mut self.batch_fallback_sync_groups,
+            &mut self.batch_fallback_rr_groups,
+            &mut self.batch_fallback_rand_groups,
+            &mut self.batch_fallback_dist_groups,
+        ]
+    }
 }
+
+/// JSON keys of the [`CounterSnapshot`] fields, in declaration order.
+const FIELD_NAMES: [&str; 18] = [
+    "steps",
+    "moves",
+    "guard_evals",
+    "delta_bytes",
+    "scratch_reuses",
+    "config_clones",
+    "batch_lanes",
+    "batch_lane_steps",
+    "batch_idle_lane_steps",
+    "batch_scalar_fallbacks",
+    "batch_routed_sync_groups",
+    "batch_routed_rr_groups",
+    "batch_routed_rand_groups",
+    "batch_routed_dist_groups",
+    "batch_fallback_sync_groups",
+    "batch_fallback_rr_groups",
+    "batch_fallback_rand_groups",
+    "batch_fallback_dist_groups",
+];
+
+/// The leading [`FIELD_NAMES`] every counter object must carry.
+const REQUIRED_FIELDS: usize = 6;
 
 impl EngineCounters {
     /// Flushes one finished run's tallies — four relaxed adds, the only
@@ -342,6 +415,34 @@ mod tests {
         assert!(d.batch_routed_rand_groups >= 1 && d.batch_routed_dist_groups >= 1);
         assert!(d.batch_fallback_sync_groups >= 1 && d.batch_fallback_rr_groups >= 1);
         assert!(d.batch_fallback_rand_groups >= 1 && d.batch_fallback_dist_groups >= 1);
+    }
+
+    /// A snapshot whose every field is a distinct multiple of `k`.
+    fn snap(k: u64) -> CounterSnapshot {
+        let mut s = CounterSnapshot::default();
+        for (i, field) in s.fields_mut().into_iter().enumerate() {
+            *field = (i as u64 + 1) * k;
+        }
+        s
+    }
+
+    #[test]
+    fn add_sums_field_wise() {
+        let mut total = snap(1);
+        total.add(&snap(10));
+        assert_eq!(total, snap(11));
+        assert_eq!(total.delta(&snap(10)), snap(1), "delta undoes add");
+    }
+
+    #[test]
+    fn json_codec_round_trips_and_is_strict() {
+        let s = snap(7);
+        assert_eq!(CounterSnapshot::from_json(&s.to_json()), Ok(s));
+        let text = s.to_json().render_compact();
+        let bad = Json::parse(&text.replace("\"moves\":14", "\"moves\":\"14\"")).unwrap();
+        assert!(CounterSnapshot::from_json(&bad).is_err(), "mistyped field");
+        let short = Json::parse("{\"steps\":1}").unwrap();
+        assert!(CounterSnapshot::from_json(&short).unwrap_err().contains("missing field"));
     }
 
     #[test]

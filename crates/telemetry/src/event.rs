@@ -6,16 +6,17 @@
 //! **sequence space**: events carry a per-stream `seq` starting at 0 and
 //! incrementing by exactly 1, plus a `t_us` timestamp (microseconds since
 //! the stream's epoch) that is monotonically non-decreasing within the
-//! stream. Shard worker processes stamp their events with their shard id;
-//! orchestrator/in-process events carry no shard field.
+//! stream. A `campaign shard --trace` stream stamps its events with its
+//! shard id; in-process, merge and coordinator streams carry no shard
+//! field. Every stream is written by exactly one process: a distributed
+//! run's trace is its coordinator's, whose lease and acceptance events
+//! record the workers' progress and whose `campaign_end` carries the
+//! counters the workers uploaded.
 //!
 //! Timestamps and wall-clock fields are **observability data**: they make
 //! event streams deliberately non-reproducible across runs, which is why
 //! events live in their own sidecar files and never feed the deterministic
-//! campaign artifacts. What *is* deterministic is the interleaving:
-//! [`merge_streams`] orders any set of complete shard streams purely by
-//! `(shard, seq)`, so a merged trace is byte-identical no matter the order
-//! in which workers finished or their files were read back.
+//! campaign artifacts.
 
 use crate::counters::CounterSnapshot;
 use crate::json::{obj, Json};
@@ -68,7 +69,7 @@ pub enum EventKind {
         /// Schema version ([`EVENTS_SCHEMA`]).
         schema: String,
         /// Which producer opened the stream (`run`, `plan`, `shard`,
-        /// `merge`, `bench`).
+        /// `merge`, `serve`, `bench`).
         source: String,
     },
     /// `campaign_start`: a sweep is about to execute.
@@ -217,8 +218,8 @@ impl EventKind {
 /// One event: stream coordinates plus the lifecycle payload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Event {
-    /// Shard id for shard-worker streams; `None` for orchestrator and
-    /// in-process streams.
+    /// Shard id for `campaign shard` streams; `None` for in-process,
+    /// merge and coordinator streams.
     pub shard: Option<u64>,
     /// Per-stream sequence number (0-based, dense).
     pub seq: u64,
@@ -226,59 +227,6 @@ pub struct Event {
     pub t_us: u64,
     /// The lifecycle payload.
     pub kind: EventKind,
-}
-
-pub(crate) fn counters_json(c: &CounterSnapshot) -> Json {
-    obj(vec![
-        ("steps", Json::UInt(c.steps)),
-        ("moves", Json::UInt(c.moves)),
-        ("guard_evals", Json::UInt(c.guard_evals)),
-        ("delta_bytes", Json::UInt(c.delta_bytes)),
-        ("scratch_reuses", Json::UInt(c.scratch_reuses)),
-        ("config_clones", Json::UInt(c.config_clones)),
-        ("batch_lanes", Json::UInt(c.batch_lanes)),
-        ("batch_lane_steps", Json::UInt(c.batch_lane_steps)),
-        ("batch_idle_lane_steps", Json::UInt(c.batch_idle_lane_steps)),
-        ("batch_scalar_fallbacks", Json::UInt(c.batch_scalar_fallbacks)),
-        ("batch_routed_sync_groups", Json::UInt(c.batch_routed_sync_groups)),
-        ("batch_routed_rr_groups", Json::UInt(c.batch_routed_rr_groups)),
-        ("batch_routed_rand_groups", Json::UInt(c.batch_routed_rand_groups)),
-        ("batch_routed_dist_groups", Json::UInt(c.batch_routed_dist_groups)),
-        ("batch_fallback_sync_groups", Json::UInt(c.batch_fallback_sync_groups)),
-        ("batch_fallback_rr_groups", Json::UInt(c.batch_fallback_rr_groups)),
-        ("batch_fallback_rand_groups", Json::UInt(c.batch_fallback_rand_groups)),
-        ("batch_fallback_dist_groups", Json::UInt(c.batch_fallback_dist_groups)),
-    ])
-}
-
-/// Optional counter field: absent in traces written before the batch
-/// counters existed, which still carry the `specstab-events/v1` schema —
-/// absent reads as zero so old traces keep validating.
-fn opt_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key).map_or(Ok(0), Json::as_u64)
-}
-
-fn counters_from_json(j: &Json) -> Result<CounterSnapshot, String> {
-    Ok(CounterSnapshot {
-        steps: j.req("steps")?.as_u64()?,
-        moves: j.req("moves")?.as_u64()?,
-        guard_evals: j.req("guard_evals")?.as_u64()?,
-        delta_bytes: j.req("delta_bytes")?.as_u64()?,
-        scratch_reuses: j.req("scratch_reuses")?.as_u64()?,
-        config_clones: j.req("config_clones")?.as_u64()?,
-        batch_lanes: opt_u64(j, "batch_lanes")?,
-        batch_lane_steps: opt_u64(j, "batch_lane_steps")?,
-        batch_idle_lane_steps: opt_u64(j, "batch_idle_lane_steps")?,
-        batch_scalar_fallbacks: opt_u64(j, "batch_scalar_fallbacks")?,
-        batch_routed_sync_groups: opt_u64(j, "batch_routed_sync_groups")?,
-        batch_routed_rr_groups: opt_u64(j, "batch_routed_rr_groups")?,
-        batch_routed_rand_groups: opt_u64(j, "batch_routed_rand_groups")?,
-        batch_routed_dist_groups: opt_u64(j, "batch_routed_dist_groups")?,
-        batch_fallback_sync_groups: opt_u64(j, "batch_fallback_sync_groups")?,
-        batch_fallback_rr_groups: opt_u64(j, "batch_fallback_rr_groups")?,
-        batch_fallback_rand_groups: opt_u64(j, "batch_fallback_rand_groups")?,
-        batch_fallback_dist_groups: opt_u64(j, "batch_fallback_dist_groups")?,
-    })
 }
 
 impl Event {
@@ -342,7 +290,7 @@ impl Event {
             EventKind::ShardEnd { cells, wall_us, counters } => {
                 fields.push(("cells", Json::UInt(*cells)));
                 fields.push(("wall_us", Json::UInt(*wall_us)));
-                fields.push(("counters", counters_json(counters)));
+                fields.push(("counters", counters.to_json()));
             }
             EventKind::LeaseGranted { shard_id, worker, lease_id, lease_ms } => {
                 fields.push(("shard_id", Json::UInt(*shard_id)));
@@ -376,7 +324,7 @@ impl Event {
                 fields.push(("errors", Json::UInt(*errors)));
                 fields.push(("violations", Json::UInt(*violations)));
                 fields.push(("wall_us", Json::UInt(*wall_us)));
-                fields.push(("counters", counters_json(counters)));
+                fields.push(("counters", counters.to_json()));
             }
         }
         obj(fields).render_compact()
@@ -445,7 +393,7 @@ impl Event {
             "shard_end" => EventKind::ShardEnd {
                 cells: j.req("cells")?.as_u64()?,
                 wall_us: j.req("wall_us")?.as_u64()?,
-                counters: counters_from_json(j.req("counters")?)?,
+                counters: CounterSnapshot::from_json(j.req("counters")?)?,
             },
             "lease_granted" => EventKind::LeaseGranted {
                 shard_id: j.req("shard_id")?.as_u64()?,
@@ -477,7 +425,7 @@ impl Event {
                 errors: j.req("errors")?.as_u64()?,
                 violations: j.req("violations")?.as_u64()?,
                 wall_us: j.req("wall_us")?.as_u64()?,
-                counters: counters_from_json(j.req("counters")?)?,
+                counters: CounterSnapshot::from_json(j.req("counters")?)?,
             },
             other => return Err(format!("unknown event tag '{other}'")),
         };
@@ -499,77 +447,46 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<Event>, String> {
         .collect()
 }
 
-/// Interleaves complete event streams into one deterministic sequence:
-/// ordered by `(shard, seq)`, with shard-less (orchestrator) events
-/// ordered after all shard streams. Input stream order — and the order of
-/// events across different streams — does not affect the output, which is
-/// what makes merged traces reproducible regardless of worker completion
-/// order. Streams must carry distinct shard ids; within a stream, `seq` is
-/// unique by construction.
-#[must_use]
-pub fn merge_streams(streams: Vec<Vec<Event>>) -> Vec<Event> {
-    let mut all: Vec<Event> = streams.into_iter().flatten().collect();
-    all.sort_by_key(|e| (e.shard.unwrap_or(u64::MAX), e.seq));
-    all
-}
-
 /// Validates the `specstab-events/v1` stream discipline over a parsed
-/// event sequence (e.g. a whole trace file): every per-shard stream must
-/// start with a [`EventKind::Stream`] header carrying a supported schema,
-/// number its events densely from 0, and keep `t_us` non-decreasing.
+/// event sequence (e.g. a whole trace file, which holds exactly one
+/// stream): it must start with a [`EventKind::Stream`] header carrying a
+/// supported schema, keep the header's shard id on every event, number
+/// its events densely from 0, and keep `t_us` non-decreasing.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation.
 pub fn validate_events(events: &[Event]) -> Result<(), String> {
-    if events.is_empty() {
-        return Err("empty event stream".into());
+    let Some(header) = events.first() else { return Err("empty event stream".into()) };
+    let EventKind::Stream { schema, .. } = &header.kind else {
+        return Err(format!(
+            "event 1: stream opens with '{}', expected 'stream' header",
+            header.kind.tag()
+        ));
+    };
+    if schema != EVENTS_SCHEMA {
+        return Err(format!("event 1: unsupported schema '{schema}' (expected {EVENTS_SCHEMA})"));
     }
-    // Per-stream running state, keyed by shard id (None = orchestrator).
-    let mut states: Vec<(Option<u64>, u64, u64)> = Vec::new(); // (shard, next_seq, last_t)
-    for (i, e) in events.iter().enumerate() {
-        let line = i + 1;
-        let state = states.iter_mut().find(|(shard, _, _)| *shard == e.shard);
-        match state {
-            None => {
-                let EventKind::Stream { schema, .. } = &e.kind else {
-                    return Err(format!(
-                        "event {line}: stream {:?} opens with '{}', expected 'stream' header",
-                        e.shard,
-                        e.kind.tag()
-                    ));
-                };
-                if schema != EVENTS_SCHEMA {
-                    return Err(format!(
-                        "event {line}: unsupported schema '{schema}' (expected {EVENTS_SCHEMA})"
-                    ));
-                }
-                if e.seq != 0 {
-                    return Err(format!(
-                        "event {line}: stream {:?} header has seq {}, expected 0",
-                        e.shard, e.seq
-                    ));
-                }
-                states.push((e.shard, 1, e.t_us));
-            }
-            Some((shard, next_seq, last_t)) => {
-                if e.seq != *next_seq {
-                    return Err(format!(
-                        "event {line}: stream {shard:?} has seq {} after {}, expected dense \
-                         numbering",
-                        e.seq,
-                        *next_seq - 1
-                    ));
-                }
-                if e.t_us < *last_t {
-                    return Err(format!(
-                        "event {line}: stream {shard:?} time went backwards ({} -> {})",
-                        *last_t, e.t_us
-                    ));
-                }
-                *next_seq += 1;
-                *last_t = e.t_us;
-            }
+    if header.seq != 0 {
+        return Err(format!("event 1: stream header has seq {}, expected 0", header.seq));
+    }
+    for (i, pair) in events.windows(2).enumerate() {
+        let (prev, e) = (&pair[0], &pair[1]);
+        let line = i + 2;
+        if e.shard != header.shard {
+            return Err(format!(
+                "event {line}: shard {:?} inside the stream of shard {:?}",
+                e.shard, header.shard
+            ));
+        }
+        if prev.seq.checked_add(1) != Some(e.seq) {
+            return Err(format!(
+                "event {line}: seq {} after {}, expected dense numbering",
+                e.seq, prev.seq
+            ));
+        }
+        if e.t_us < prev.t_us {
+            return Err(format!("event {line}: time went backwards ({} -> {})", prev.t_us, e.t_us));
         }
     }
     Ok(())
@@ -614,21 +531,6 @@ impl TraceWriter {
             kind,
         };
         self.seq += 1;
-        self.write_line(&event)
-    }
-
-    /// Writes an already-stamped event verbatim — the pass-through the
-    /// orchestrator uses to splice merged shard streams into the final
-    /// trace without re-stamping them.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on write failure.
-    pub fn emit_raw(&mut self, event: &Event) -> Result<(), String> {
-        self.write_line(event)
-    }
-
-    fn write_line(&mut self, event: &Event) -> Result<(), String> {
         self.out
             .write_all(event.to_json_line().as_bytes())
             .and_then(|()| self.out.write_all(b"\n"))
@@ -800,16 +702,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_streams_is_independent_of_input_order() {
-        let a = stream(0, &[EventKind::ShardStart { start: 0, end: 2 }]);
-        let b = stream(1, &[EventKind::ShardStart { start: 2, end: 4 }]);
-        let c = stream(2, &[EventKind::ShardStart { start: 4, end: 6 }]);
-        let canonical = merge_streams(vec![a.clone(), b.clone(), c.clone()]);
-        assert_eq!(merge_streams(vec![c, a, b]), canonical);
-        validate_events(&canonical).expect("merged stream is valid");
-    }
-
-    #[test]
     fn validate_catches_stream_violations() {
         let good = stream(0, &[EventKind::MergeStart { partials: 1 }]);
         validate_events(&good).expect("valid");
@@ -826,6 +718,10 @@ mod tests {
         let mut backwards = good.clone();
         backwards[0].t_us = 100;
         assert!(validate_events(&backwards).unwrap_err().contains("time went backwards"));
+
+        let mut foreign = good.clone();
+        foreign[1].shard = Some(1);
+        assert!(validate_events(&foreign).unwrap_err().contains("inside the stream of shard"));
 
         let mut bad_schema = good;
         bad_schema[0].kind =

@@ -9,14 +9,15 @@
 //!   evaluations, delta bytes) accumulated in plain locals by the step loop
 //!   and flushed to a process-global lock-free aggregate once per run,
 //!   plus process-wide instruments (scratch reuses, configuration clones);
+//!   [`CounterSnapshot`] deltas add field-wise and have one JSON codec,
+//!   shared by event streams, metrics sidecars and serve uploads;
 //! * [`json`] — the workspace's hand-rolled JSON value type: deterministic
 //!   insertion-ordered writer (pretty and compact) and a strict,
 //!   depth-bounded recursive-descent reader;
 //! * [`event`] — the versioned `specstab-events/v1` NDJSON event stream:
 //!   campaign/plan/shard/cell/merge lifecycle events with per-stream
 //!   monotonic sequence numbers and timestamps, a buffered
-//!   [`event::TraceWriter`], and the deterministic multi-stream
-//!   [`event::merge_streams`] interleaver;
+//!   [`event::TraceWriter`], and the strict reader and validator;
 //! * [`metrics`] — the `specstab-metrics/v1` sidecar artifact (wall clock
 //!   per cell/group/shard, throughput, counter totals) built from an event
 //!   stream, kept strictly separate from the deterministic campaign
@@ -40,9 +41,7 @@ pub mod metrics;
 pub mod progress;
 
 pub use counters::{global, BatchDaemonClass, CounterSnapshot, RunCounters};
-pub use event::{
-    merge_streams, parse_ndjson, validate_events, Event, EventKind, TraceWriter, EVENTS_SCHEMA,
-};
+pub use event::{parse_ndjson, validate_events, Event, EventKind, TraceWriter, EVENTS_SCHEMA};
 pub use json::{obj, Json, MAX_PARSE_DEPTH};
 pub use metrics::{metrics_from_events, METRICS_SCHEMA};
 pub use progress::{Heartbeat, ServeCounts, ServeHeartbeat};

@@ -10,7 +10,7 @@
 //! on the deterministic artifact.
 
 use crate::counters::CounterSnapshot;
-use crate::event::{counters_json, Event, EventKind};
+use crate::event::{Event, EventKind};
 use crate::json::{obj, Json};
 
 /// Schema identifier written into every metrics sidecar.
@@ -24,16 +24,15 @@ fn moves_per_sec(moves: u64, wall_us: u64) -> Json {
     Json::Num(moves as f64 / (wall_us as f64 / 1_000_000.0))
 }
 
-/// Builds the `specstab-metrics/v1` sidecar from a (merged) event
-/// sequence.
+/// Builds the `specstab-metrics/v1` sidecar from an event sequence.
 ///
 /// Totals prefer the `campaign_end` event when present (its counters cover
-/// the whole process, including work outside shard ranges); otherwise they
-/// are reconstructed by summing `shard_end` events, with total wall clock
-/// taken as the slowest shard. Cell and group rows are carried over in
-/// stream order, which for a merged trace is the deterministic
-/// `(shard, seq)` order. Traces containing lease-lifecycle events (a
-/// `campaign serve` coordinator) additionally get a `serve` object with
+/// the whole campaign — for a coordinator, the sum of the workers'
+/// uploaded counters); otherwise they are reconstructed by summing
+/// `shard_end` events, with total wall clock taken as the slowest shard.
+/// Cell and group rows are carried over in stream order. Traces
+/// containing lease-lifecycle events (a `campaign serve` or
+/// `run --workers` coordinator) additionally get a `serve` object with
 /// lease/upload counts and per-worker accepted-cell tallies.
 #[must_use]
 pub fn metrics_from_events(events: &[Event]) -> Json {
@@ -49,8 +48,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
     let mut leases_expired = 0u64;
     let mut partials_accepted = 0u64;
     let mut partials_rejected = 0u64;
-    // Per-worker accepted shard/cell tallies, in first-seen order so the
-    // sidecar stays deterministic for a deterministically merged trace.
+    // Per-worker accepted shard/cell tallies, in first-seen order.
     let mut workers: Vec<(String, u64, u64)> = Vec::new();
 
     for e in events {
@@ -83,27 +81,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                 ]));
             }
             EventKind::ShardEnd { cells: n, wall_us, counters } => {
-                let mut agg = shard_totals;
-                // CounterSnapshot has no add; fold field-wise.
-                agg.steps += counters.steps;
-                agg.moves += counters.moves;
-                agg.guard_evals += counters.guard_evals;
-                agg.delta_bytes += counters.delta_bytes;
-                agg.scratch_reuses += counters.scratch_reuses;
-                agg.config_clones += counters.config_clones;
-                agg.batch_lanes += counters.batch_lanes;
-                agg.batch_lane_steps += counters.batch_lane_steps;
-                agg.batch_idle_lane_steps += counters.batch_idle_lane_steps;
-                agg.batch_scalar_fallbacks += counters.batch_scalar_fallbacks;
-                agg.batch_routed_sync_groups += counters.batch_routed_sync_groups;
-                agg.batch_routed_rr_groups += counters.batch_routed_rr_groups;
-                agg.batch_routed_rand_groups += counters.batch_routed_rand_groups;
-                agg.batch_routed_dist_groups += counters.batch_routed_dist_groups;
-                agg.batch_fallback_sync_groups += counters.batch_fallback_sync_groups;
-                agg.batch_fallback_rr_groups += counters.batch_fallback_rr_groups;
-                agg.batch_fallback_rand_groups += counters.batch_fallback_rand_groups;
-                agg.batch_fallback_dist_groups += counters.batch_fallback_dist_groups;
-                shard_totals = agg;
+                shard_totals.add(counters);
                 shard_cells += n;
                 shard_wall_max = shard_wall_max.max(*wall_us);
                 shards.push(obj(vec![
@@ -111,7 +89,7 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
                     ("cells", Json::UInt(*n)),
                     ("wall_us", Json::UInt(*wall_us)),
                     ("moves_per_sec", moves_per_sec(counters.moves, *wall_us)),
-                    ("counters", counters_json(counters)),
+                    ("counters", counters.to_json()),
                 ]));
             }
             EventKind::CampaignEnd { cells, errors, violations, wall_us, counters } => {
@@ -141,13 +119,13 @@ pub fn metrics_from_events(events: &[Event]) -> Json {
             ("violations", Json::UInt(violations)),
             ("wall_us", Json::UInt(wall_us)),
             ("moves_per_sec", moves_per_sec(counters.moves, wall_us)),
-            ("counters", counters_json(&counters)),
+            ("counters", counters.to_json()),
         ]),
         None => obj(vec![
             ("cells", Json::UInt(shard_cells)),
             ("wall_us", Json::UInt(shard_wall_max)),
             ("moves_per_sec", moves_per_sec(total_moves, shard_wall_max)),
-            ("counters", counters_json(&shard_totals)),
+            ("counters", shard_totals.to_json()),
         ]),
     };
 

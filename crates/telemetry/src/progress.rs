@@ -8,9 +8,8 @@
 //! roughly one line per second reaches the terminal no matter how fast
 //! cells complete.
 //!
-//! Deliberately **not** used inside shard subprocesses: their stderr is a
-//! pipe the orchestrator only drains on failure, so a chatty heartbeat
-//! there could fill the pipe buffer and deadlock the worker.
+//! Distributed runs (`campaign serve`, `run --workers N`) report progress
+//! per shard through the coordinator's [`ServeHeartbeat`] instead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -44,15 +43,7 @@ impl Heartbeat {
     /// Records one finished cell (with the moves it executed) and prints a
     /// progress line if the rate limiter allows.
     pub fn cell_done(&self, moves: u64) {
-        self.add_done(1, moves);
-    }
-
-    /// Records `cells` finished cells at once — the shape the subprocess
-    /// orchestrator reports in, where a whole shard completes in one step
-    /// (pass `moves: 0` when move counts are not observable, e.g. before
-    /// worker partials are parsed; the moves/s segment is then omitted).
-    pub fn add_done(&self, cells: u64, moves: u64) {
-        let done = self.done.fetch_add(cells, Ordering::Relaxed) + cells;
+        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let total_moves = self.moves.fetch_add(moves, Ordering::Relaxed) + moves;
         let Ok(mut last) = self.last_print.lock() else { return };
         let now = Instant::now();
@@ -87,8 +78,7 @@ impl Heartbeat {
             let remaining = elapsed / done as f64 * (self.total - done) as f64;
             format_secs(remaining)
         };
-        // The moves/s segment only appears when moves are observable
-        // (the subprocess orchestrator reports cells without moves).
+        // The moves/s segment only appears once some cell has moved.
         #[allow(clippy::cast_precision_loss)]
         let rates = if elapsed > 0.0 && moves > 0 {
             format!(
