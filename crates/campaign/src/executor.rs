@@ -643,8 +643,9 @@ fn run_harness_group<H: ProtocolHarness>(
 /// `specstab_kernel::batch`).
 ///
 /// Lanes are set up by the scalar path's [`set_up_cell`] and measured
-/// with the same predicates and early stop as [`run_harness_cell`], so
-/// the per-cell outcomes are bit-identical to the scalar path. Returns
+/// with the same local specification and early stop as
+/// [`run_harness_cell`], so the per-cell outcomes are bit-identical to
+/// the scalar path. Returns
 /// `None` when any cell's setup fails (bad daemon spec, witness error,
 /// ...) — the scalar loop then reruns the chunk and attributes the error
 /// to the right cell.
@@ -733,16 +734,15 @@ fn run_harness_cell<H: ProtocolHarness>(
     };
     let class = Some(daemon.class());
     let sim = Simulator::new(graph, harness.protocol());
-    let report =
-        MeasurementContext::new(harness.safety_predicate(), harness.legitimacy_predicate())
-            .with_early_stop(harness.legitimacy_predicate(), config.early_stop_margin)
-            .run_with_scratch(
-                &sim,
-                daemon.as_mut(),
-                init,
-                config.max_steps,
-                scratch.get::<HarnessState<H>>(),
-            );
+    let report = MeasurementContext::local(harness.local_spec().clone())
+        .with_legitimacy_stop(config.early_stop_margin)
+        .run_with_scratch(
+            &sim,
+            daemon.as_mut(),
+            init,
+            config.max_steps,
+            scratch.get::<HarnessState<H>>(),
+        );
     let bound = (cell.daemon == "sync").then(|| harness.sync_bound(graph, diam)).flatten();
     (
         class,

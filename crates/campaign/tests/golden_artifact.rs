@@ -23,6 +23,18 @@
 //!          --cells-in-json --json campaign_golden_bfs.json
 //! ```
 //!
+//! `tests/golden/campaign_golden_rings.json` (the Dijkstra rings and
+//! matching, which the two goldens above do not cover; generated before
+//! their specifications became incremental local terms):
+//!
+//! ```text
+//! campaign --topologies ring:8,path:8 \
+//!          --protocols dijkstra,dijkstra3,dijkstra4,matching \
+//!          --daemons sync,central-rand,dist:0.5 --faults 0,2 \
+//!          --seeds 3 --seed 51966 --max-steps 500000 \
+//!          --cells-in-json --json campaign_golden_rings.json
+//! ```
+//!
 //! Any engine, daemon, RNG-stream, aggregation or serialization drift shows
 //! up as a byte diff here (and in the CI steps that replay the CLI
 //! invocations and `cmp` the output). If a change is *intentional* —
@@ -36,6 +48,7 @@ use specstab_campaign::matrix::{InitMode, ScenarioMatrix};
 
 const GOLDEN: &str = include_str!("golden/campaign_golden.json");
 const GOLDEN_BFS: &str = include_str!("golden/campaign_golden_bfs.json");
+const GOLDEN_RINGS: &str = include_str!("golden/campaign_golden_rings.json");
 
 fn golden_matrix() -> ScenarioMatrix {
     ScenarioMatrix::builder()
@@ -90,4 +103,27 @@ fn bfs_campaign_json_matches_checked_in_golden() {
     assert_eq!(result.total_errors(), 0, "bfs golden matrix must be error-free");
     assert_eq!(result.total_violations(), 0);
     assert_matches_golden(&json, GOLDEN_BFS, "campaign_bfs.json");
+}
+
+#[test]
+fn rings_campaign_json_matches_checked_in_golden() {
+    let matrix = ScenarioMatrix::builder()
+        .topologies(["ring:8", "path:8"])
+        .protocols(["dijkstra", "dijkstra3", "dijkstra4", "matching"])
+        .daemons(["sync", "central-rand", "dist:0.5"])
+        .init_modes([InitMode::Burst(0), InitMode::Burst(2)])
+        .seeds(0..3)
+        // The CLI skips the incompatible pairs up front: the token rings
+        // run on the ring, the four-state machine on the line, and
+        // matching on both.
+        .build_where(|cell| match cell.protocol.as_str() {
+            "dijkstra" | "dijkstra3" => cell.topology == "ring:8",
+            "dijkstra4" => cell.topology == "path:8",
+            _ => true,
+        });
+    let result = run_campaign(&matrix, &golden_config());
+    let json = to_json(&result, true);
+    assert_eq!(result.total_errors(), 0, "rings golden matrix must be error-free");
+    assert_eq!(result.total_violations(), 0);
+    assert_matches_golden(&json, GOLDEN_RINGS, "campaign_rings.json");
 }

@@ -12,6 +12,7 @@
 
 use crate::ssme::Ssme;
 use specstab_kernel::config::Configuration;
+use specstab_kernel::measure::{LocalSpec, LocalTerm};
 use specstab_kernel::observer::{Observer, StepEvent};
 use specstab_kernel::spec::Specification;
 use specstab_topology::{Graph, VertexId};
@@ -23,6 +24,8 @@ use specstab_unison::spec::SpecAu;
 pub struct SpecMe {
     ssme: Ssme,
     au: SpecAu,
+    /// Every vertex's privilege value, `slots[v] = privilege_value(v)`.
+    slots: Vec<ClockValue>,
 }
 
 impl SpecMe {
@@ -30,7 +33,8 @@ impl SpecMe {
     #[must_use]
     pub fn new(ssme: Ssme) -> Self {
         let au = SpecAu::new(ssme.clock());
-        Self { ssme, au }
+        let slots = (0..ssme.n()).map(|v| ssme.privilege_value(VertexId::new(v))).collect();
+        Self { ssme, au, slots }
     }
 
     /// The underlying SSME instance.
@@ -39,10 +43,17 @@ impl SpecMe {
         &self.ssme
     }
 
+    /// Number of privileges `v` holds in `config` (0 or 1): whether its
+    /// register sits on its privilege slot.
+    #[must_use]
+    pub fn privileges_at(&self, v: VertexId, config: &Configuration<ClockValue>) -> usize {
+        usize::from(*config.get(v) == self.slots[v.index()])
+    }
+
     /// Number of privileged vertices in `config`.
     #[must_use]
     pub fn privileged_count(&self, config: &Configuration<ClockValue>) -> usize {
-        self.ssme.privileged_vertices(config).len()
+        (0..config.len()).map(|v| self.privileges_at(VertexId::new(v), config)).sum()
     }
 }
 
@@ -60,6 +71,19 @@ impl Specification<ClockValue> for SpecMe {
     /// paper's clock parameters — validated by tests).
     fn is_legitimate(&self, config: &Configuration<ClockValue>, graph: &Graph) -> bool {
         self.au.in_gamma_one(config, graph)
+    }
+}
+
+/// `specME` as local terms: a vertex counts its privilege and is bad as in
+/// the unison's `Γ1` terms. At most one privilege is safety, no bad vertex
+/// is legitimacy.
+impl LocalSpec<ClockValue> for SpecMe {
+    fn term(&self, v: VertexId, config: &Configuration<ClockValue>, graph: &Graph) -> LocalTerm {
+        LocalTerm::new(self.privileges_at(v, config), self.au.term(v, config, graph).bad)
+    }
+
+    fn verdicts(&self, count: usize, bad: usize) -> (bool, bool) {
+        (count <= 1, bad == 0)
     }
 }
 
@@ -195,6 +219,24 @@ mod tests {
             }
         }
         assert!(checked > 0, "no legitimate configurations found");
+    }
+
+    #[test]
+    fn local_terms_agree_with_the_specification_exhaustively() {
+        // Every configuration of a path-3 instance: the summed terms give
+        // the full predicates' verdicts (privilege count and Γ1).
+        let (g, ssme) = ssme_on_path3();
+        let spec = SpecMe::new(ssme.clone());
+        let values: Vec<ClockValue> = ssme.clock().values().collect();
+        for &a in &values {
+            for &b in &values {
+                for &c in &values {
+                    let conf = Configuration::new(vec![a, b, c]);
+                    let expected = (spec.is_safe(&conf, &g), spec.is_legitimate(&conf, &g));
+                    assert_eq!(spec.evaluate(&conf, &g), expected, "[{a},{b},{c}]");
+                }
+            }
+        }
     }
 
     #[test]

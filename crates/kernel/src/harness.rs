@@ -15,9 +15,11 @@
 //! * the **adversarial witness** initial configuration where one exists
 //!   ([`HarnessError::UnsupportedScenario`] otherwise — witness injection
 //!   is a *capability*, not an assumption);
-//! * the **safety** and **legitimacy** [`ConfigPredicate`]s of the
-//!   protocol's specification, plus a closure self-check validating that
-//!   the constructed legitimate set really is closed under one step;
+//! * the protocol's specification, stated once as a [`LocalSpec`] of
+//!   per-vertex terms; the **safety** and **legitimacy**
+//!   [`ConfigPredicate`]s derive from it, and a closure self-check
+//!   validates that the constructed legitimate set really is closed under
+//!   one step;
 //! * **daemon resolution**, so protocols can extend the shared daemon zoo
 //!   with protocol-specific adversaries;
 //! * the applicable **theorem bound** under the synchronous daemon, when
@@ -33,7 +35,7 @@ use crate::batch::BatchDaemon;
 use crate::config::Configuration;
 use crate::daemon::{parse_daemon_spec, BoxedDaemon};
 use crate::engine::Simulator;
-use crate::measure::StabilizationReport;
+use crate::measure::{LocalSpec, StabilizationReport};
 use crate::observer::ConfigPredicate;
 use crate::protocol::Protocol;
 use rand::rngs::StdRng;
@@ -197,13 +199,28 @@ pub trait ProtocolHarness: Sized {
         })
     }
 
+    /// The specification's local form (see [`crate::measure`]).
+    type Spec: LocalSpec<HarnessState<Self>> + Clone + Send + 'static;
+
+    /// The protocol's specification as per-vertex terms: the one statement
+    /// of its safety and legitimacy, measured incrementally by the
+    /// campaign's scalar runs and batched lanes alike.
+    fn local_spec(&self) -> &Self::Spec;
+
     /// The specification's safety predicate (e.g. "at most one privileged
-    /// vertex").
-    fn safety_predicate(&self) -> ConfigPredicate<HarnessState<Self>>;
+    /// vertex"), summing every term of [`ProtocolHarness::local_spec`].
+    fn safety_predicate(&self) -> ConfigPredicate<HarnessState<Self>> {
+        let spec = self.local_spec().clone();
+        Box::new(move |c, g| spec.evaluate(c, g).0)
+    }
 
     /// The specification's legitimacy predicate (a closed set — validated
-    /// by [`ProtocolHarness::closure_self_check`]).
-    fn legitimacy_predicate(&self) -> ConfigPredicate<HarnessState<Self>>;
+    /// by [`ProtocolHarness::closure_self_check`]), summing every term of
+    /// [`ProtocolHarness::local_spec`].
+    fn legitimacy_predicate(&self) -> ConfigPredicate<HarnessState<Self>> {
+        let spec = self.local_spec().clone();
+        Box::new(move |c, g| spec.evaluate(c, g).1)
+    }
 
     /// Resolves a textual daemon spec. The default is the shared kernel
     /// zoo ([`parse_daemon_spec`]); protocols with bespoke adversaries
@@ -263,19 +280,18 @@ pub trait ProtocolHarness: Sized {
     /// batched run (see [`crate::batch`]), producing per lane the exact
     /// [`StabilizationReport`] (and final configuration) a scalar
     /// measured run from the same initial configuration under the
-    /// matching scalar daemon yields — same predicates, the same early
+    /// matching scalar daemon yields — same specification, the same early
     /// stop on legitimacy with `early_stop_margin`, the same stop-reason
-    /// ordering. For the
-    /// random daemons, `lane_seeds[l]` must be the seed lane `l`'s scalar
-    /// daemon was constructed with (one per replica; deterministic
-    /// daemons pass `&[]`), so every lane replays its scalar RNG draw
-    /// sequence bit for bit.
+    /// ordering. For the random daemons, `lane_seeds[l]` must be the seed
+    /// lane `l`'s scalar daemon was constructed with (one per replica;
+    /// deterministic daemons pass `&[]`), so every lane replays its scalar
+    /// RNG draw sequence bit for bit.
     ///
     /// `None` (the default) means "no packed implementation — use the
     /// scalar path". Harnesses whose protocols implement
     /// [`PackedProtocol`](crate::batch::PackedProtocol) override this to
     /// call [`run_batch`](crate::batch::run_batch) measured with their own
-    /// safety and legitimacy predicates.
+    /// [`ProtocolHarness::local_spec`].
     #[must_use]
     fn batched_measure(
         &self,
@@ -360,6 +376,7 @@ pub trait ProtocolHarness: Sized {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::LocalTerm;
     use crate::protocol::{RuleId, RuleInfo, View};
     use rand::{Rng, SeedableRng};
     use specstab_topology::{generators, VertexId};
@@ -403,11 +420,22 @@ mod tests {
         ) -> Result<Configuration<u8>, HarnessError> {
             Ok(Configuration::from_fn(graph.n(), |_| 0))
         }
-        fn safety_predicate(&self) -> ConfigPredicate<u8> {
-            Box::new(|c, _| c.states().iter().all(|&s| s <= 1))
+        type Spec = DecSpec;
+        fn local_spec(&self) -> &DecSpec {
+            &DecSpec
         }
-        fn legitimacy_predicate(&self) -> ConfigPredicate<u8> {
-            Box::new(|c, _| c.states().iter().all(|&s| s == 0))
+    }
+
+    /// Safe: every state at most 1; legitimate: every state 0.
+    #[derive(Clone)]
+    struct DecSpec;
+    impl LocalSpec<u8> for DecSpec {
+        fn term(&self, v: VertexId, config: &Configuration<u8>, _graph: &Graph) -> LocalTerm {
+            let s = *config.get(v);
+            LocalTerm::new(usize::from(s > 1), s != 0)
+        }
+        fn verdicts(&self, count: usize, bad: usize) -> (bool, bool) {
+            (count == 0, bad == 0)
         }
     }
 
@@ -429,12 +457,22 @@ mod tests {
         ) -> Result<Configuration<u8>, HarnessError> {
             Ok(Configuration::from_fn(graph.n(), |_| 2))
         }
-        fn safety_predicate(&self) -> ConfigPredicate<u8> {
-            Box::new(|_, _| true)
+        type Spec = AllTwo;
+        fn local_spec(&self) -> &AllTwo {
+            &AllTwo
         }
-        fn legitimacy_predicate(&self) -> ConfigPredicate<u8> {
-            // "Exactly 2 everywhere": not closed under DEC.
-            Box::new(|c, _| c.states().iter().all(|&s| s == 2))
+    }
+
+    /// Always safe; legitimate when "exactly 2 everywhere", which is not
+    /// closed under DEC.
+    #[derive(Clone)]
+    struct AllTwo;
+    impl LocalSpec<u8> for AllTwo {
+        fn term(&self, v: VertexId, config: &Configuration<u8>, _graph: &Graph) -> LocalTerm {
+            LocalTerm::new(0, *config.get(v) != 2)
+        }
+        fn verdicts(&self, _count: usize, bad: usize) -> (bool, bool) {
+            (true, bad == 0)
         }
     }
 

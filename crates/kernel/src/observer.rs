@@ -5,10 +5,19 @@
 //! [`LegitimacyMonitor`], and the all-in-one
 //! [`MeasurementContext`](crate::measure::MeasurementContext) with its
 //! early stop), accounting ([`MoveCounter`], [`RoundCounter`]) and trace
-//! capture ([`ConfigTrace`]). The measurement observers only evaluate
-//! predicates. The bookkeeping that turns their verdicts into a
-//! stabilization report is one tally in [`crate::measure`], which the
-//! batched engine's lanes share.
+//! capture ([`ConfigTrace`]). The measurement observers only produce
+//! verdicts. The bookkeeping that turns them into a stabilization report
+//! is one tally in [`crate::measure`], which the batched engine's lanes
+//! share.
+//!
+//! [`SafetyMonitor`] and [`LegitimacyMonitor`] evaluate a
+//! [`ConfigPredicate`] on the whole configuration after every step, O(n)
+//! or more per step. A context built from a
+//! [`LocalSpec`](crate::measure::LocalSpec) instead repairs its
+//! [`LocalMonitor`](crate::measure::LocalMonitor) from the step's
+//! `activated` vertices, O(Σ deg) per step; the campaign executor
+//! measures every run that way (see [`crate::measure`] for the measured
+//! effect).
 //!
 //! Every [`StepEvent`] carries the step's `(vertex, before, after)` state
 //! **delta** alongside borrowed before/after configurations, so observers

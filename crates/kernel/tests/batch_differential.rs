@@ -4,8 +4,10 @@
 //! observationally identical to an independent scalar run of the same
 //! initial configuration under the matching scalar daemon — same
 //! step/move counts, same stop reason, same final configuration, and
-//! (measured) the same [`StabilizationReport`] fields as a scalar
-//! `MeasurementContext`, with and without early stop, across topologies
+//! (measured, each lane through its own incremental local monitor) the
+//! same [`StabilizationReport`] fields as a scalar `MeasurementContext`
+//! over the whole-configuration predicates, with and without early stop,
+//! across topologies
 //! × seeds × lane counts K ∈ {1, 3, 64, 100}. The random daemons
 //! additionally pin the per-lane RNG streams: lane `l` seeded with `s`
 //! replays the scalar daemon seeded with `s` draw for draw. A final
@@ -23,7 +25,7 @@ use specstab_kernel::daemon::{
     BoxedDaemon, CentralDaemon, CentralStrategy, RandomDistributedDaemon, SynchronousDaemon,
 };
 use specstab_kernel::engine::{RunLimits, Simulator};
-use specstab_kernel::measure::{MeasurementContext, StabilizationReport};
+use specstab_kernel::measure::{LocalSpec, LocalTerm, MeasurementContext, StabilizationReport};
 use specstab_kernel::observer::ConfigPredicate;
 use specstab_kernel::protocol::{random_configuration, Protocol, RuleId, RuleInfo, View};
 use specstab_topology::{generators, Graph, VertexId};
@@ -140,18 +142,32 @@ fn random_inits(graph: &Graph, k: usize, seed: u64) -> Vec<Configuration<u32>> {
         .collect()
 }
 
-/// Legitimacy: the maximum has flooded (all states equal).
-fn all_equal() -> ConfigPredicate<u32> {
-    Box::new(|c, _| c.states().windows(2).all(|w| w[0] == w[1]))
+/// Safety: at most one strict local maximum (a count), so violation
+/// tracking has something to record mid-run. Legitimacy: every vertex
+/// agrees with its neighbours (a conjunction; on a connected graph, the
+/// maximum has flooded).
+struct MaxSpec;
+
+impl LocalSpec<u32> for MaxSpec {
+    fn term(&self, v: VertexId, config: &Configuration<u32>, graph: &Graph) -> LocalTerm {
+        let s = *config.get(v);
+        let peak = graph.neighbors(v).iter().all(|&u| s > *config.get(u));
+        let differs = graph.neighbors(v).iter().any(|&u| s != *config.get(u));
+        LocalTerm::new(usize::from(peak), differs)
+    }
+    fn verdicts(&self, count: usize, bad: usize) -> (bool, bool) {
+        (count <= 1, bad == 0)
+    }
 }
 
-/// Safety: an arbitrary nontrivial predicate (vertex 0 holds the global
-/// maximum), so violation tracking has something to record mid-run.
-fn zero_holds_max() -> ConfigPredicate<u32> {
-    Box::new(|c, _| {
-        let max = c.states().iter().copied().max().unwrap_or(0);
-        *c.get(VertexId::new(0)) == max
-    })
+/// [`MaxSpec`]'s safety, summing every term: the scalar reference.
+fn max_safety() -> ConfigPredicate<u32> {
+    Box::new(|c, g| MaxSpec.evaluate(c, g).0)
+}
+
+/// [`MaxSpec`]'s legitimacy, summing every term.
+fn max_legitimacy() -> ConfigPredicate<u32> {
+    Box::new(|c, g| MaxSpec.evaluate(c, g).1)
 }
 
 /// Every batch daemon mode the suite sweeps.
@@ -221,19 +237,15 @@ fn check_measured_equals_scalar(case: u8, seed: u64, mode: BatchDaemon, k: usize
     let inits = random_inits(&graph, k, seed);
     let seeds = lane_seeds(k, seed);
     let seeds_arg: &[u64] = if mode.needs_lane_seeds() { &seeds } else { &[] };
-    let measure = LaneMeasure {
-        safety: zero_holds_max(),
-        legitimacy: all_equal(),
-        early_stop: early.then_some(2),
-    };
+    let measure = LaneMeasure { spec: &MaxSpec, early_stop: early.then_some(2) };
     let measured =
         run_batch(&graph, &MaxProto, mode, seeds_arg, inits.clone(), 1_000, Some(measure));
     prop_assert_eq!(measured.len(), k);
     for ((report, final_config), (init, &s)) in measured.iter().zip(inits.iter().zip(&seeds)) {
         let sim = Simulator::new(&graph, &MaxProto);
-        let mut ctx = MeasurementContext::new(zero_holds_max(), all_equal());
+        let mut ctx = MeasurementContext::new(max_safety(), max_legitimacy());
         if early {
-            ctx = ctx.with_early_stop(all_equal(), 2);
+            ctx = ctx.with_early_stop(max_legitimacy(), 2);
         }
         let scalar = ctx.run(&sim, scalar_daemon(mode, s).as_mut(), init.clone(), 1_000);
         assert_reports_match(report, &scalar);

@@ -13,6 +13,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use specstab_kernel::config::Configuration;
+use specstab_kernel::measure::{LocalSpec, LocalTerm};
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
 use specstab_kernel::spec::Specification;
 use specstab_topology::metrics::DistanceMatrix;
@@ -148,6 +149,18 @@ impl Specification<u32> for BfsSpec {
     }
     fn is_legitimate(&self, config: &Configuration<u32>, _graph: &Graph) -> bool {
         config.iter().all(|(v, &l)| l == self.dist[v.index()])
+    }
+}
+
+/// A vertex is bad when its level differs from its true distance (a
+/// radius-0 term); safety and legitimacy both mean no bad vertex.
+impl LocalSpec<u32> for BfsSpec {
+    fn term(&self, v: VertexId, config: &Configuration<u32>, _graph: &Graph) -> LocalTerm {
+        LocalTerm::new(0, *config.get(v) != self.dist[v.index()])
+    }
+
+    fn verdicts(&self, _count: usize, bad: usize) -> (bool, bool) {
+        (bad == 0, bad == 0)
     }
 }
 

@@ -19,6 +19,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
+use specstab_kernel::measure::{LocalSpec, LocalTerm};
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
 use specstab_kernel::spec::Specification;
 use specstab_topology::{Graph, VertexId};
@@ -126,6 +127,18 @@ impl DijkstraRing {
         } else {
             s != sp
         }
+    }
+
+    /// Number of privileges `v` holds in `config` (0 or 1).
+    #[must_use]
+    pub fn privileges_at(&self, v: VertexId, config: &Configuration<u64>) -> usize {
+        usize::from(self.is_privileged(v, config))
+    }
+
+    /// Total privilege count of the configuration.
+    #[must_use]
+    pub fn privilege_count(&self, config: &Configuration<u64>) -> usize {
+        (0..self.n).map(|v| self.privileges_at(VertexId::new(v), config)).sum()
     }
 
     /// All privileged machines of `config`.
@@ -262,10 +275,21 @@ impl Specification<u64> for DijkstraSpec {
         "specME(dijkstra)".into()
     }
     fn is_safe(&self, config: &Configuration<u64>, _graph: &Graph) -> bool {
-        self.protocol.privileged_vertices(config).len() <= 1
+        self.protocol.privilege_count(config) <= 1
     }
     fn is_legitimate(&self, config: &Configuration<u64>, _graph: &Graph) -> bool {
-        self.protocol.privileged_vertices(config).len() == 1
+        self.protocol.privilege_count(config) == 1
+    }
+}
+
+/// A machine's term counts its privilege (it reads only its predecessor).
+impl LocalSpec<u64> for DijkstraSpec {
+    fn term(&self, v: VertexId, config: &Configuration<u64>, _graph: &Graph) -> LocalTerm {
+        LocalTerm::new(self.protocol.privileges_at(v, config), false)
+    }
+
+    fn verdicts(&self, count: usize, _bad: usize) -> (bool, bool) {
+        (count <= 1, count == 1)
     }
 }
 

@@ -21,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
+use specstab_kernel::measure::{LocalSpec, LocalTerm};
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
 use specstab_kernel::spec::Specification;
 use specstab_topology::{Graph, VertexId};
@@ -115,39 +116,29 @@ impl DijkstraFourState {
         s
     }
 
-    /// The guards enabled at `v` (Dijkstra's "privileges").
+    /// Number of guards enabled at `v` (Dijkstra's "privileges"; a middle
+    /// machine can hold `FLIP` and `LOWER` at once).
     #[must_use]
-    pub fn privileges(&self, v: VertexId, config: &Configuration<FourState>) -> Vec<RuleId> {
+    pub fn privileges_at(&self, v: VertexId, config: &Configuration<FourState>) -> usize {
         let i = v.index();
         let s = self.canonical(i, *config.get(v));
-        let mut out = Vec::new();
         if i == 0 {
             let r = self.canonical(1, *config.get(VertexId::new(1)));
-            if s.x == r.x && !r.up {
-                out.push(rules::BOTTOM);
-            }
+            usize::from(s.x == r.x && !r.up)
         } else if i == self.n - 1 {
             let l = self.canonical(i - 1, *config.get(VertexId::new(i - 1)));
-            if s.x != l.x {
-                out.push(rules::TOP);
-            }
+            usize::from(s.x != l.x)
         } else {
             let l = self.canonical(i - 1, *config.get(VertexId::new(i - 1)));
             let r = self.canonical(i + 1, *config.get(VertexId::new(i + 1)));
-            if s.x != l.x {
-                out.push(rules::FLIP);
-            }
-            if s.x == r.x && s.up && !r.up {
-                out.push(rules::LOWER);
-            }
+            usize::from(s.x != l.x) + usize::from(s.x == r.x && s.up && !r.up)
         }
-        out
     }
 
     /// Total privilege count of the configuration.
     #[must_use]
     pub fn privilege_count(&self, config: &Configuration<FourState>) -> usize {
-        (0..self.n).map(|i| self.privileges(VertexId::new(i), config).len()).sum()
+        (0..self.n).map(|i| self.privileges_at(VertexId::new(i), config)).sum()
     }
 }
 
@@ -340,6 +331,18 @@ impl FourStateSpec {
     #[must_use]
     pub fn new(protocol: DijkstraFourState) -> Self {
         Self { protocol }
+    }
+}
+
+/// A machine's term counts its privileges (it reads only its line
+/// neighbours).
+impl LocalSpec<FourState> for FourStateSpec {
+    fn term(&self, v: VertexId, config: &Configuration<FourState>, _graph: &Graph) -> LocalTerm {
+        LocalTerm::new(self.protocol.privileges_at(v, config), false)
+    }
+
+    fn verdicts(&self, count: usize, _bad: usize) -> (bool, bool) {
+        (count <= 1, count == 1)
     }
 }
 

@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use specstab_kernel::batch::PackedProtocol;
 use specstab_kernel::config::Configuration;
+use specstab_kernel::measure::{LocalSpec, LocalTerm};
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
 use specstab_kernel::spec::Specification;
 use specstab_topology::{Graph, VertexId};
@@ -100,41 +101,31 @@ impl DijkstraThreeState {
         VertexId::new((i + 1) % self.n)
     }
 
-    /// The guards enabled at `v` (0, 1 or 2 of them — Dijkstra's
-    /// "privileges").
+    /// Number of guards enabled at `v` (0, 1 or 2 of them — Dijkstra's
+    /// "privileges"; a middle machine can hold `FROM_LEFT` and
+    /// `FROM_RIGHT` at once).
     #[must_use]
-    pub fn privileges(&self, v: VertexId, config: &Configuration<u8>) -> Vec<RuleId> {
+    pub fn privileges_at(&self, v: VertexId, config: &Configuration<u8>) -> usize {
         let i = v.index();
         let s = *config.get(v);
-        let mut out = Vec::new();
         if i == 0 {
             let r = *config.get(self.right(i));
-            if (s + 1) % 3 == r {
-                out.push(rules::BOTTOM);
-            }
+            usize::from((s + 1) % 3 == r)
         } else if i == self.n - 1 {
             let l = *config.get(self.left(i));
             let r = *config.get(self.right(i)); // the bottom machine
-            if l == r && (l + 1) % 3 != s {
-                out.push(rules::TOP);
-            }
+            usize::from(l == r && (l + 1) % 3 != s)
         } else {
             let l = *config.get(self.left(i));
             let r = *config.get(self.right(i));
-            if (s + 1) % 3 == l {
-                out.push(rules::FROM_LEFT);
-            }
-            if (s + 1) % 3 == r {
-                out.push(rules::FROM_RIGHT);
-            }
+            usize::from((s + 1) % 3 == l) + usize::from((s + 1) % 3 == r)
         }
-        out
     }
 
     /// Total privilege count of the configuration.
     #[must_use]
     pub fn privilege_count(&self, config: &Configuration<u8>) -> usize {
-        (0..self.n).map(|i| self.privileges(VertexId::new(i), config).len()).sum()
+        (0..self.n).map(|i| self.privileges_at(VertexId::new(i), config)).sum()
     }
 }
 
@@ -300,6 +291,18 @@ impl ThreeStateSpec {
     #[must_use]
     pub fn new(protocol: DijkstraThreeState) -> Self {
         Self { protocol }
+    }
+}
+
+/// A machine's term counts its privileges (it reads only its two ring
+/// neighbours).
+impl LocalSpec<u8> for ThreeStateSpec {
+    fn term(&self, v: VertexId, config: &Configuration<u8>, _graph: &Graph) -> LocalTerm {
+        LocalTerm::new(self.protocol.privileges_at(v, config), false)
+    }
+
+    fn verdicts(&self, count: usize, _bad: usize) -> (bool, bool) {
+        (count <= 1, count == 1)
     }
 }
 
@@ -487,6 +490,6 @@ mod tests {
         // S = [2, 1, 2, ...]: machine 1 sees L = 2 and R = 2 with
         // (S+1) mod 3 = 2: both guards hold.
         let c = Configuration::new(vec![2u8, 1, 2, 0]);
-        assert_eq!(p.privileges(VertexId::new(1), &c).len(), 2);
+        assert_eq!(p.privileges_at(VertexId::new(1), &c), 2);
     }
 }

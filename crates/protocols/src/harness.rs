@@ -5,11 +5,13 @@
 //!
 //! Each harness packages the protocol constructor (with its typed
 //! topology-compatibility check), a legitimate-configuration constructor
-//! (the resting point fault bursts corrupt), the specification's safety
-//! and legitimacy predicates, witness injection where a lower-bound
-//! construction exists (SSME's Theorem 4), protocol-specific daemon
-//! extensions (SSME's greedy Γ1-disorder adversaries) and the applicable
-//! synchronous theorem bound.
+//! (the resting point fault bursts corrupt), the specification as local
+//! terms (its spec struct's
+//! [`LocalSpec`](specstab_kernel::measure::LocalSpec) impl, from which the
+//! safety and legitimacy predicates derive), witness injection where a
+//! lower-bound construction exists (SSME's Theorem 4), protocol-specific
+//! daemon extensions (SSME's greedy Γ1-disorder adversaries) and the
+//! applicable synchronous theorem bound.
 
 use crate::bfs::{BfsSpec, MinPlusOneBfs};
 use crate::dijkstra::{DijkstraError, DijkstraRing, DijkstraSpec};
@@ -29,33 +31,13 @@ use specstab_kernel::harness::{
     BoundMetric, HarnessError, HarnessState, ProtocolHarness, TheoremBound,
 };
 use specstab_kernel::measure::StabilizationReport;
-use specstab_kernel::observer::ConfigPredicate;
-use specstab_kernel::spec::Specification;
 use specstab_topology::metrics::DistanceMatrix;
 use specstab_topology::{Graph, VertexId};
 use specstab_unison::clock::ClockValue;
 
-/// Boxes a [`Specification`]'s safety predicate.
-fn safety_of<S, Sp>(spec: &Sp) -> ConfigPredicate<S>
-where
-    Sp: Specification<S> + Clone + Send + 'static,
-{
-    let spec = spec.clone();
-    Box::new(move |c, g| spec.is_safe(c, g))
-}
-
-/// Boxes a [`Specification`]'s legitimacy predicate.
-fn legitimacy_of<S, Sp>(spec: &Sp) -> ConfigPredicate<S>
-where
-    Sp: Specification<S> + Clone + Send + 'static,
-{
-    let spec = spec.clone();
-    Box::new(move |c, g| spec.is_legitimate(c, g))
-}
-
 /// The shared [`ProtocolHarness::batched_measure`] body of the packed
-/// harnesses: one batched run of the harness's protocol, measured with
-/// its own safety and legitimacy predicates.
+/// harnesses: one batched run of the harness's protocol, each lane
+/// measured through its own monitor of the harness's local specification.
 fn batched<H>(
     harness: &H,
     graph: &Graph,
@@ -69,11 +51,7 @@ where
     H: ProtocolHarness,
     H::Protocol: PackedProtocol,
 {
-    let measure = LaneMeasure {
-        safety: harness.safety_predicate(),
-        legitimacy: harness.legitimacy_predicate(),
-        early_stop: Some(early_stop_margin),
-    };
+    let measure = LaneMeasure { spec: harness.local_spec(), early_stop: Some(early_stop_margin) };
     run_batch(graph, harness.protocol(), daemon, lane_seeds, inits, max_steps, Some(measure))
 }
 
@@ -142,12 +120,10 @@ impl ProtocolHarness for SsmeHarness {
             })
     }
 
-    fn safety_predicate(&self) -> ConfigPredicate<ClockValue> {
-        safety_of(&self.spec)
-    }
+    type Spec = SpecMe;
 
-    fn legitimacy_predicate(&self) -> ConfigPredicate<ClockValue> {
-        legitimacy_of(&self.spec)
+    fn local_spec(&self) -> &SpecMe {
+        &self.spec
     }
 
     /// The shared kernel zoo plus the protocol-specific greedy adversaries
@@ -181,11 +157,16 @@ impl ProtocolHarness for SsmeHarness {
         true
     }
 
-    // `central_batch_max_n` keeps the conservative default (32): the i32
-    // unison lanes pay ~10 ns per lane-element in a refresh row, so the
-    // central modes stop beating 64 scalar steps per pass past the small
-    // campaign tori (measured with the bench crate's `crossover_probe`
-    // methodology on torus-4x5 vs torus-8x8).
+    // `central_batch_max_n` keeps the conservative default (32). That
+    // break-even comes from unmeasured engine loops (the bench crate's
+    // `crossover_probe` methodology on torus-4x5 vs torus-8x8: the i32
+    // unison lanes pay ~10 ns per lane-element in a refresh row), not
+    // from measured campaign runs. With local monitors a measured step
+    // costs O(degree) terms on either path, so campaign cells now run
+    // close to those loops: on the default grid, whose batched central
+    // groups are all n = 12, batching on takes 16.7 s against 21.8–23.7 s
+    // off (2 cores, `bench_results/local_monitors_after.txt`). Whether a
+    // larger gate pays end to end is not measured.
 
     fn batched_measure(
         &self,
@@ -239,12 +220,10 @@ impl ProtocolHarness for DijkstraHarness {
         Ok(Configuration::from_fn(graph.n(), |_| 0u64))
     }
 
-    fn safety_predicate(&self) -> ConfigPredicate<u64> {
-        safety_of(&self.spec)
-    }
+    type Spec = DijkstraSpec;
 
-    fn legitimacy_predicate(&self) -> ConfigPredicate<u64> {
-        legitimacy_of(&self.spec)
+    fn local_spec(&self) -> &DijkstraSpec {
+        &self.spec
     }
 
     /// The exact synchronous law: legitimacy entry within `2n − 3` steps.
@@ -323,12 +302,10 @@ impl ProtocolHarness for Dijkstra3Harness {
         Ok(Configuration::from_fn(graph.n(), |_| 0u8))
     }
 
-    fn safety_predicate(&self) -> ConfigPredicate<u8> {
-        safety_of(&self.spec)
-    }
+    type Spec = ThreeStateSpec;
 
-    fn legitimacy_predicate(&self) -> ConfigPredicate<u8> {
-        legitimacy_of(&self.spec)
+    fn local_spec(&self) -> &ThreeStateSpec {
+        &self.spec
     }
 
     fn supports_batch(&self) -> bool {
@@ -393,12 +370,10 @@ impl ProtocolHarness for Dijkstra4Harness {
         }))
     }
 
-    fn safety_predicate(&self) -> ConfigPredicate<FourState> {
-        safety_of(&self.spec)
-    }
+    type Spec = FourStateSpec;
 
-    fn legitimacy_predicate(&self) -> ConfigPredicate<FourState> {
-        legitimacy_of(&self.spec)
+    fn local_spec(&self) -> &FourStateSpec {
+        &self.spec
     }
 
     fn supports_batch(&self) -> bool {
@@ -457,12 +432,10 @@ impl ProtocolHarness for BfsHarness {
         Ok(Configuration::from_fn(graph.n(), |v| self.spec.distances()[v.index()]))
     }
 
-    fn safety_predicate(&self) -> ConfigPredicate<u32> {
-        safety_of(&self.spec)
-    }
+    type Spec = BfsSpec;
 
-    fn legitimacy_predicate(&self) -> ConfigPredicate<u32> {
-        legitimacy_of(&self.spec)
+    fn local_spec(&self) -> &BfsSpec {
+        &self.spec
     }
 }
 
@@ -516,12 +489,10 @@ impl ProtocolHarness for MatchingHarness {
         }))
     }
 
-    fn safety_predicate(&self) -> ConfigPredicate<MatchState> {
-        safety_of(&self.spec)
-    }
+    type Spec = MatchingSpec;
 
-    fn legitimacy_predicate(&self) -> ConfigPredicate<MatchState> {
-        legitimacy_of(&self.spec)
+    fn local_spec(&self) -> &MatchingSpec {
+        &self.spec
     }
 }
 

@@ -28,6 +28,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use specstab_kernel::config::Configuration;
+use specstab_kernel::measure::{LocalSpec, LocalTerm};
 use specstab_kernel::protocol::{Protocol, RuleId, RuleInfo, View};
 use specstab_kernel::spec::Specification;
 use specstab_topology::{Graph, VertexId};
@@ -248,6 +249,30 @@ impl Specification<MatchState> for MatchingSpec {
     }
 }
 
+/// A vertex is bad when its married flag disagrees with `PRmarried`, its
+/// pointer names a neighbour that does not point back, or it and a
+/// neighbour are both unmarried (an edge the matching leaves uncovered).
+///
+/// The last condition reads the `married` flags, not `PRmarried` at both
+/// endpoints as [`MatchingSpec::is_maximal_matching`] does: that would
+/// reach the partner's partner, radius 2. The two agree whenever the flags
+/// are consistent, and when they are not the flag condition already makes
+/// a vertex bad. Pointers only name neighbours (the protocol's state
+/// domain), so every condition reads the closed neighbourhood.
+impl LocalSpec<MatchState> for MatchingSpec {
+    fn term(&self, v: VertexId, config: &Configuration<MatchState>, graph: &Graph) -> LocalTerm {
+        let s = *config.get(v);
+        let flag_wrong = s.married != self.protocol.pr_married(v, config);
+        let one_sided = s.pointer.is_some_and(|u| config.get(u).pointer != Some(v));
+        let uncovered = !s.married && graph.neighbors(v).iter().any(|&u| !config.get(u).married);
+        LocalTerm::new(0, flag_wrong || one_sided || uncovered)
+    }
+
+    fn verdicts(&self, _count: usize, bad: usize) -> (bool, bool) {
+        (bad == 0, bad == 0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +289,29 @@ mod tests {
 
     fn fresh(g: &Graph) -> Configuration<MatchState> {
         Configuration::from_fn(g.n(), |_| MatchState::default())
+    }
+
+    /// The radius-1 local terms (maximality over the `married` flags)
+    /// give `is_legitimate`'s verdict on every configuration of the state
+    /// domain.
+    #[test]
+    fn local_terms_agree_with_the_specification_exhaustively() {
+        for g in [
+            generators::path(3).unwrap(),
+            generators::ring(4).unwrap(),
+            generators::star(4).unwrap(),
+        ] {
+            let p = MaximalMatching::new(&g);
+            let spec = MatchingSpec::new(p.clone());
+            let all = enumerate_all_configurations(&g, &p, 1_000_000).unwrap();
+            let mut legitimate = 0;
+            for c in &all {
+                let expected = (spec.is_safe(c, &g), spec.is_legitimate(c, &g));
+                assert_eq!(spec.evaluate(c, &g), expected, "{}: {:?}", g.name(), c.states());
+                legitimate += usize::from(expected.1);
+            }
+            assert!(legitimate > 0, "{}: no legitimate configuration enumerated", g.name());
+        }
     }
 
     #[test]

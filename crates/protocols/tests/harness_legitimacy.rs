@@ -4,12 +4,17 @@
 //! the legitimate set is closed under one step for **every** daemon
 //! choice (all nonempty activation subsets — exhaustively enumerated by
 //! `ProtocolHarness::closure_self_check` when the enabled set is small,
-//! singletons + the synchronous step otherwise).
+//! singletons + the synchronous step otherwise). The safety and legitimacy
+//! predicates the harness derives from its local terms must also agree
+//! with its `Specification` on sampled configurations.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specstab_kernel::harness::ProtocolHarness;
+use specstab_kernel::fault::inject_faults_in_place;
+use specstab_kernel::harness::{HarnessState, ProtocolHarness};
+use specstab_kernel::protocol::random_configuration;
+use specstab_kernel::spec::Specification;
 use specstab_protocols::harness::{
     BfsHarness, Dijkstra3Harness, Dijkstra4Harness, DijkstraHarness, MatchingHarness, SsmeHarness,
 };
@@ -28,8 +33,15 @@ fn any_graph(pick: u8, n: usize, seed: u64) -> Graph {
     }
 }
 
-/// Builds the harness and runs the full legitimacy + closure contract.
-fn check<H: ProtocolHarness>(g: &Graph, seed: u64) {
+/// Builds the harness and runs the full legitimacy + closure contract,
+/// after checking that the predicates derived from the harness's local
+/// terms agree with its `Specification` on random configurations and on
+/// one- and two-fault bursts into the legitimate one.
+fn check<H>(g: &Graph, seed: u64)
+where
+    H: ProtocolHarness,
+    H::Spec: Specification<HarnessState<H>>,
+{
     let diam = DistanceMatrix::new(g).diameter();
     let h = H::build(g, diam).expect("topology must be compatible in this test");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -38,6 +50,22 @@ fn check<H: ProtocolHarness>(g: &Graph, seed: u64) {
     let c = h.legitimate_configuration(g, &mut rng).expect("constructor succeeds");
     assert!(legit(&c, g), "{}: constructed configuration must be legitimate", H::NAME);
     assert!(safe(&c, g), "{}: legitimacy must imply safety", H::NAME);
+    let spec = h.local_spec();
+    for sample in 0..16 {
+        let mut sampled = c.clone();
+        match sample % 3 {
+            0 => sampled = random_configuration(g, h.protocol(), &mut rng),
+            faults => {
+                inject_faults_in_place(&mut sampled, g, h.protocol(), faults, &mut rng);
+            }
+        }
+        assert_eq!(
+            (safe(&sampled, g), legit(&sampled, g)),
+            (spec.is_safe(&sampled, g), spec.is_legitimate(&sampled, g)),
+            "{}: derived predicates differ from the specification (seed {seed}, sample {sample})",
+            H::NAME
+        );
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     h.closure_self_check(g, &mut rng, 3)
         .unwrap_or_else(|e| panic!("{}: closure self-check failed: {e}", H::NAME));

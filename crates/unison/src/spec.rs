@@ -10,6 +10,7 @@
 
 use crate::clock::{CherryClock, ClockValue};
 use specstab_kernel::config::Configuration;
+use specstab_kernel::measure::{LocalSpec, LocalTerm};
 use specstab_kernel::observer::{Observer, StepEvent};
 use specstab_kernel::spec::Specification;
 use specstab_topology::{Graph, VertexId};
@@ -68,6 +69,26 @@ impl Specification<ClockValue> for SpecAu {
 
     fn is_legitimate(&self, config: &Configuration<ClockValue>, graph: &Graph) -> bool {
         self.in_gamma_one(config, graph)
+    }
+}
+
+/// `Γ1` as local terms: a vertex is bad when its register is not in
+/// `stab_X` or lies more than 1 (`d_K`) from a correct neighbour's. An
+/// edge with drift above 1 makes both endpoints bad, so no bad vertex is
+/// exactly `Γ1`.
+impl LocalSpec<ClockValue> for SpecAu {
+    fn term(&self, v: VertexId, config: &Configuration<ClockValue>, graph: &Graph) -> LocalTerm {
+        let r = *config.get(v);
+        let bad = !self.clock.is_stab(r)
+            || graph.neighbors(v).iter().any(|&u| {
+                let ru = *config.get(u);
+                self.clock.is_stab(ru) && self.clock.d_k(r, ru) > 1
+            });
+        LocalTerm::new(0, bad)
+    }
+
+    fn verdicts(&self, _count: usize, bad: usize) -> (bool, bool) {
+        (bad == 0, bad == 0)
     }
 }
 

@@ -82,9 +82,9 @@ proptest! {
         }
     }
 
-    /// Measured batched unison replicates the scalar measurement stack
-    /// under the `specAU` predicates with early stop — the exact stack the
-    /// campaign executor runs per cell.
+    /// Measured batched unison, each lane repairing its own monitor of
+    /// the `specAU` local terms, replicates the scalar measurement stack
+    /// under the whole-configuration `specAU` predicates with early stop.
     #[test]
     fn packed_unison_measured_equals_scalar_measurement(
         case in 0u8..4,
@@ -99,11 +99,7 @@ proptest! {
         let unison = AsyncUnison::new(clock);
         let spec = SpecAu::new(clock);
         let inits = random_inits(&graph, &unison, k_lanes, seed);
-        let measure = LaneMeasure {
-            safety: safety_of(spec),
-            legitimacy: legitimacy_of(spec),
-            early_stop: Some(3),
-        };
+        let measure = LaneMeasure { spec: &spec, early_stop: Some(3) };
         let measured = run_batch(
             &graph,
             &unison,
